@@ -11,7 +11,6 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -385,10 +384,11 @@ type Result struct {
 	// in vehicle-index order; Report is then their telemetry.Merge aggregate.
 	// Nil for single-vehicle runs.
 	VehicleReports []telemetry.Report
-	// Err is set when the run failed or panicked inside a Runner pool; the
-	// Report is zero in that case. Direct Run calls report errors through
-	// their error return instead. JSON encodes it as an "error" string (see
-	// MarshalJSON) so failed runs stay visible in serialized sweep output.
+	// Err lets a caller that collects many Results keep a failed run in its
+	// slot; the Report is zero in that case. Run and RunWithCache report
+	// errors through their error return instead. JSON encodes it as an
+	// "error" string (see MarshalJSON) so failed runs stay visible in
+	// serialized sweep output.
 	Err error
 }
 
@@ -457,30 +457,11 @@ func RunWithCache(p Params, wc *env.WorldCache) (Result, error) {
 		return Result{}, fmt.Errorf("core: building world for %s: %w", p.Workload, err)
 	}
 
-	platform := compute.TX2(p.Cores, p.FreqGHz)
-	if p.VehicleCount() > 1 {
-		return runFleet(p, w, platform, world, start)
-	}
-
-	s, err := sim.New(simConfig(p, platform), world, start)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := w.Setup(s, p); err != nil {
-		return Result{}, fmt.Errorf("core: setting up %s: %w", p.Workload, err)
-	}
-	report, err := s.Run()
-	// The report is plain values — nothing in it references simulator-owned
-	// state — so pooled resources can be released before returning.
-	s.Teardown()
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Report: report, Params: p, PlatformName: platform.Name}, nil
+	return runFleet(p, w, compute.TX2(p.Cores, p.FreqGHz), world, start)
 }
 
-// simConfig translates run parameters into a simulator configuration (shared
-// by the single-vehicle path and each drone of a fleet).
+// simConfig translates run parameters into one drone's simulator
+// configuration.
 func simConfig(p Params, platform compute.Platform) sim.Config {
 	cfg := sim.DefaultConfig(p.Seed)
 	cfg.Platform = platform
@@ -496,13 +477,4 @@ func simConfig(p Params, platform compute.Platform) sim.Config {
 			compute.KernelShortestPath, compute.KernelFrontierExplore, compute.KernelSmoothing)
 	}
 	return cfg
-}
-
-// RunSweep executes the same workload across a set of operating points,
-// returning results in the same order. This is the primitive behind the
-// paper's Figures 10-15 heat maps. Runs execute on a Runner worker pool
-// sized to runtime.GOMAXPROCS(0); use Runner.Sweep directly to control the
-// pool size or to cancel mid-sweep.
-func RunSweep(base Params, points []compute.OperatingPoint) ([]Result, error) {
-	return Runner{}.Sweep(context.Background(), base, points)
 }

@@ -290,36 +290,6 @@ func TestRunUnknownWorkload(t *testing.T) {
 	}
 }
 
-func TestRunSweep(t *testing.T) {
-	fw := &fakeWorkload{name: "sweep_test_workload"}
-	Register(fw)
-	defer func() {
-		registryMu.Lock()
-		delete(registry, fw.name)
-		registryMu.Unlock()
-	}()
-
-	points := []compute.OperatingPoint{{Cores: 2, FreqGHz: 0.8}, {Cores: 4, FreqGHz: 2.2}}
-	results, err := RunSweep(Params{Workload: fw.name, Seed: 1, MaxMissionTimeS: 30}, points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results", len(results))
-	}
-	for i, r := range results {
-		if r.Params.Cores != points[i].Cores || r.Params.FreqGHz != points[i].FreqGHz {
-			t.Errorf("result %d has operating point %d/%v", i, r.Params.Cores, r.Params.FreqGHz)
-		}
-	}
-}
-
-func TestRunSweepPropagatesErrors(t *testing.T) {
-	if _, err := RunSweep(Params{Workload: "missing"}, compute.PaperOperatingPoints()[:1]); err == nil {
-		t.Error("expected error")
-	}
-}
-
 func TestCloudOffloadConfiguration(t *testing.T) {
 	fw := &fakeWorkload{name: "offload_test_workload"}
 	Register(fw)

@@ -1,5 +1,6 @@
-// Multi-vehicle run assembly: expands one Params into N per-drone simulators
-// over clones of the shared world and runs them through sim.Fleet.
+// Run assembly: expands one Params into N ≥ 1 per-drone simulators over
+// clones of the shared world and runs them through sim.Fleet, which flies
+// every mission. A single-drone run is a fleet of one.
 package core
 
 import (
@@ -13,14 +14,16 @@ import (
 	"mavbench/internal/telemetry"
 )
 
-// runFleet executes a multi-vehicle mission. The world passed in (built or
+// runFleet executes a mission. The world passed in (built or
 // cache-cloned for the base Params — vehicle count never enters WorldHash) is
 // given to drone 0; every other drone receives a deep clone, which env.Clone
 // guarantees behaves bit-identically — so all drones fly "the same" world,
 // including its dynamic obstacles, without sharing mutable state. Each drone
 // gets its own simulator with a seed from DeriveVehicleSeed and a start
 // position offset from the workload's start, and the workload's Setup sees
-// VehicleIndex/VehicleCount to apply its coordination strategy.
+// VehicleIndex/VehicleCount to apply its coordination strategy. Drone 0 keeps
+// the run seed, the uncloned world and the workload's start, so a fleet of
+// one flies exactly the single-drone mission.
 func runFleet(p Params, w Workload, platform compute.Platform, world *env.World, start geom.Vec3) (Result, error) {
 	n := p.VehicleCount()
 	sims := make([]*sim.Simulator, n)
@@ -48,18 +51,21 @@ func runFleet(p Params, w Workload, platform compute.Platform, world *env.World,
 		return Result{}, err
 	}
 	reports, err := fleet.Run()
+	// The reports are plain values — nothing in them references
+	// simulator-owned state — so pooled resources can be released first.
 	for _, s := range sims {
 		s.Teardown()
 	}
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{
-		Report:         telemetry.Merge(reports),
-		VehicleReports: reports,
-		Params:         p,
-		PlatformName:   platform.Name,
-	}, nil
+	res := Result{Report: telemetry.Merge(reports), Params: p, PlatformName: platform.Name}
+	if n > 1 {
+		// Single-drone results carry no per-drone list (the Result JSON
+		// contract: vehicle_reports is absent for classic runs).
+		res.VehicleReports = reports
+	}
+	return res, nil
 }
 
 // fleetStart places drone `vehicle` of n on a deterministic ring around the

@@ -12,32 +12,27 @@ import (
 	"sync/atomic"
 
 	"mavbench/internal/compute"
-	"mavbench/internal/env"
 )
 
-// Runner is the parallel experiment-execution engine behind every MAVBench
-// sweep. It fans independent benchmark runs out across a bounded worker pool
-// while keeping the results bit-identical to a sequential execution:
+// Runner is the bounded worker pool behind every MAVBench batch: the public
+// mavbench.Campaign and the experiments package fan independent runs out
+// through Parallel while keeping the results bit-identical to a sequential
+// execution:
 //
 //   - every run's seed is derived up front from the sweep's base seed and the
 //     run's identity (workload, operating point, repeat index), never from
 //     worker identity or completion order (see DeriveSeed);
-//   - results are collected into their submission slots, so the returned
-//     slice order matches the input order regardless of which run finishes
-//     first;
-//   - a panic inside one run is recovered and surfaced as that run's failed
-//     Result instead of tearing down the whole sweep;
-//   - an optional context cancels runs that have not started yet.
+//   - each task owns its index, so callers collect results into submission
+//     slots regardless of which run finishes first;
+//   - a panic inside one task is recovered and surfaced as that task's error
+//     instead of tearing down the whole batch;
+//   - an optional context cancels tasks that have not started yet.
 //
 // The zero value is ready to use and sizes the pool to runtime.GOMAXPROCS(0).
 type Runner struct {
 	// Workers bounds the number of concurrently executing runs.
 	// Values <= 0 select runtime.GOMAXPROCS(0).
 	Workers int
-	// WorldCache, when non-nil, provisions each run's world through the
-	// cache (build once per world-hash, clone per run) — see RunWithCache.
-	// Nil builds every world from scratch; results are identical either way.
-	WorldCache *env.WorldCache
 }
 
 // workers resolves the configured pool size.
@@ -102,8 +97,8 @@ func DeriveVehicleSeed(runSeed int64, vehicle int) int64 {
 // different (but fixed) world realization; cross-cell comparisons therefore
 // mix compute effects with world variation. Callers that need the paper's
 // fixed-world methodology can build the Params slice by hand with a shared
-// Seed and pass it to RunAll — determinism across worker counts only
-// requires that seeds be fixed before submission, not that they differ.
+// Seed — determinism across worker counts only requires that seeds be fixed
+// before submission, not that they differ.
 func SweepParams(base Params, points []compute.OperatingPoint) []Params {
 	runs := make([]Params, len(points))
 	for i, pt := range points {
@@ -192,41 +187,4 @@ func runTask(task func(int) error, i int) (err error) {
 		}
 	}()
 	return task(i)
-}
-
-// RunAll executes every parameter set on the worker pool and returns one
-// Result per input, in input order. A run that fails or panics yields a
-// Result whose Err field is set (its Report is zero); the joined error
-// aggregates every failure. Successful runs are always returned even when
-// some runs fail.
-func (r Runner) RunAll(ctx context.Context, runs []Params) ([]Result, error) {
-	results := make([]Result, len(runs))
-	// Panics inside Run are recovered by the pool (runTask) and land in
-	// errs[i] like any other failure.
-	errs := r.parallelErrs(ctx, len(runs), func(i int) error {
-		res, runErr := RunWithCache(runs[i], r.WorldCache)
-		if runErr != nil {
-			return fmt.Errorf("core: run %d (%s, %d cores @ %.1f GHz): %w",
-				i, runs[i].Workload, runs[i].Cores, runs[i].FreqGHz, runErr)
-		}
-		results[i] = res
-		return nil
-	})
-	// Attribute every failure — run error, panic, or a cancellation that
-	// skipped the run entirely — to its slot so callers that inspect
-	// Result.Err instead of the joined error never mistake an unexecuted
-	// run's zero Report for real data.
-	for i, err := range errs {
-		if err != nil {
-			results[i] = Result{Params: runs[i].Normalize(), Err: err}
-		}
-	}
-	return results, errors.Join(errs...)
-}
-
-// Sweep executes base across a set of operating points on the worker pool,
-// returning results in point order. This is the parallel primitive behind the
-// paper's Figures 10-15 heat maps.
-func (r Runner) Sweep(ctx context.Context, base Params, points []compute.OperatingPoint) ([]Result, error) {
-	return r.RunAll(ctx, SweepParams(base, points))
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"mavbench/internal/compute"
-	"mavbench/internal/des"
 	"mavbench/internal/env"
 	"mavbench/internal/geom"
 	"mavbench/internal/sim"
@@ -34,6 +33,18 @@ func registerTemp(t *testing.T, w Workload) {
 		delete(registry, w.Name())
 		registryMu.Unlock()
 	})
+}
+
+// runPool runs every parameter set through Run on a pool of the given size,
+// the way mavbench.Campaign drives the Runner, and returns the results and
+// per-run errors in input order.
+func runPool(workers int, runs []Params) ([]Result, []error) {
+	results := make([]Result, len(runs))
+	errs := Runner{Workers: workers}.parallelErrs(context.Background(), len(runs), func(i int) (err error) {
+		results[i], err = Run(runs[i])
+		return err
+	})
+	return results, errs
 }
 
 func TestDeriveSeed(t *testing.T) {
@@ -99,12 +110,12 @@ func TestRepeatParamsDerivesSeeds(t *testing.T) {
 // scheduling.
 func TestRunnerDeterminism(t *testing.T) {
 	registerTemp(t, &fakeWorkload{name: "det_workload"})
-	base := Params{Workload: "det_workload", Seed: 42, MaxMissionTimeS: 30}
-	points := compute.PaperOperatingPoints()
+	runs := SweepParams(Params{Workload: "det_workload", Seed: 42, MaxMissionTimeS: 30},
+		compute.PaperOperatingPoints())
 
 	sweep := func(workers int) []Result {
-		res, err := Runner{Workers: workers}.Sweep(context.Background(), base, points)
-		if err != nil {
+		res, errs := runPool(workers, runs)
+		if err := errors.Join(errs...); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		return res
@@ -127,9 +138,8 @@ func TestRunnerDeterminism(t *testing.T) {
 func TestRunnerOrderingMatchesInput(t *testing.T) {
 	registerTemp(t, &fakeWorkload{name: "order_workload"})
 	points := compute.PaperOperatingPoints()
-	res, err := Runner{Workers: 4}.Sweep(context.Background(),
-		Params{Workload: "order_workload", Seed: 7, MaxMissionTimeS: 30}, points)
-	if err != nil {
+	res, errs := runPool(4, SweepParams(Params{Workload: "order_workload", Seed: 7, MaxMissionTimeS: 30}, points))
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range res {
@@ -147,19 +157,16 @@ func TestRunnerPanicRecovery(t *testing.T) {
 		{Workload: "panic_workload", Seed: 1, MaxMissionTimeS: 30},
 		{Workload: "healthy_workload", Seed: 2, MaxMissionTimeS: 30},
 	}
-	results, err := Runner{Workers: 2}.RunAll(context.Background(), runs)
-	if err == nil || !strings.Contains(err.Error(), "panicked") {
+	results, errs := runPool(2, runs)
+	if err := errors.Join(errs...); err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("joined error = %v, want panic surfaced", err)
 	}
-	if len(results) != 3 {
-		t.Fatalf("results = %d", len(results))
-	}
-	if results[1].Err == nil || !strings.Contains(results[1].Err.Error(), "panicked") {
-		t.Errorf("panicking run's Result.Err = %v", results[1].Err)
+	if errs[1] == nil || !strings.Contains(errs[1].Error(), "panicked") {
+		t.Errorf("panicking run's error = %v", errs[1])
 	}
 	for _, i := range []int{0, 2} {
-		if results[i].Err != nil || !results[i].Report.Success {
-			t.Errorf("healthy run %d should have completed: err=%v success=%v", i, results[i].Err, results[i].Report.Success)
+		if errs[i] != nil || !results[i].Report.Success {
+			t.Errorf("healthy run %d should have completed: err=%v success=%v", i, errs[i], results[i].Report.Success)
 		}
 	}
 }
@@ -170,34 +177,12 @@ func TestRunnerRunErrorsKeepOrderAndJoin(t *testing.T) {
 		{Workload: "err_workload", Seed: 1, MaxMissionTimeS: 30},
 		{Workload: "definitely_missing", Seed: 1},
 	}
-	results, err := Runner{Workers: 2}.RunAll(context.Background(), runs)
-	if err == nil || !strings.Contains(err.Error(), "unknown workload") {
+	_, errs := runPool(2, runs)
+	if err := errors.Join(errs...); err == nil || !strings.Contains(err.Error(), "unknown workload") {
 		t.Fatalf("err = %v", err)
 	}
-	if results[0].Err != nil || results[1].Err == nil {
-		t.Errorf("error attribution wrong: %v / %v", results[0].Err, results[1].Err)
-	}
-}
-
-func TestRunAllCancellationSetsResultErr(t *testing.T) {
-	registerTemp(t, &fakeWorkload{name: "cancel_workload"})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	runs := []Params{
-		{Workload: "cancel_workload", Seed: 1, MaxMissionTimeS: 30},
-		{Workload: "cancel_workload", Seed: 2, MaxMissionTimeS: 30},
-	}
-	results, err := Runner{Workers: 2}.RunAll(ctx, runs)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	for i, res := range results {
-		if res.Err == nil {
-			t.Errorf("canceled run %d has nil Err; its zero Report could be mistaken for data", i)
-		}
-		if res.Params.Workload != "cancel_workload" {
-			t.Errorf("canceled run %d lost its Params", i)
-		}
+	if errs[0] != nil || errs[1] == nil {
+		t.Errorf("error attribution wrong: %v / %v", errs[0], errs[1])
 	}
 }
 
@@ -302,74 +287,5 @@ func TestParallelCancelShortCircuitsRemainingIndices(t *testing.T) {
 	}
 	if canceled == 0 {
 		t.Error("no index was stamped canceled")
-	}
-}
-
-// cancelingWorkload cancels a context during its cancelAt-th Setup, so a
-// single-worker RunAll deterministically completes the first runs and
-// cancels the rest.
-type cancelingWorkload struct {
-	name     string
-	cancel   context.CancelFunc
-	cancelAt int32
-	setups   atomic.Int32
-}
-
-func (c *cancelingWorkload) Name() string        { return c.name }
-func (c *cancelingWorkload) Description() string { return "cancels mid-campaign" }
-func (c *cancelingWorkload) World(p Params) (*env.World, geom.Vec3, error) {
-	return env.BoundedEmptyWorld(40, 20, p.Seed), geom.V3(0, 0, 0), nil
-}
-func (c *cancelingWorkload) Setup(s *sim.Simulator, p Params) error {
-	if c.setups.Add(1) == c.cancelAt {
-		c.cancel()
-	}
-	s.Engine().Schedule(des.Seconds(1), "cancel/finish", func(*des.Engine) {
-		s.CompleteMission(true, "")
-	})
-	return nil
-}
-
-// TestRunAllCancelPreservesPartialResults pins RunAll's half of the
-// contract: a cancellation mid-campaign keeps the finished runs' Reports and
-// surfaces every skipped run as a canceled Result, with the joined error
-// naming the canceled runs.
-func TestRunAllCancelPreservesPartialResults(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	registerTemp(t, &cancelingWorkload{name: "cancel_partial_workload", cancel: cancel, cancelAt: 3})
-	runs := make([]Params, 8)
-	for i := range runs {
-		runs[i] = Params{Workload: "cancel_partial_workload", Seed: int64(i + 1), MaxMissionTimeS: 30}
-	}
-	results, err := Runner{Workers: 1}.RunAll(ctx, runs)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("joined error = %v, want context.Canceled", err)
-	}
-	if len(results) != len(runs) {
-		t.Fatalf("got %d results for %d runs", len(results), len(runs))
-	}
-	var completed, canceled int
-	for i, res := range results {
-		if res.Err == nil {
-			completed++
-			if res.Report.MissionTimeS <= 0 {
-				t.Errorf("completed run %d has an empty Report", i)
-			}
-			continue
-		}
-		if !errors.Is(res.Err, context.Canceled) {
-			t.Fatalf("run %d: unexpected error %v", i, res.Err)
-		}
-		canceled++
-		if !strings.Contains(err.Error(), fmt.Sprintf("run %d", i)) {
-			t.Errorf("joined error does not name canceled run %d: %v", i, err)
-		}
-	}
-	// Single worker, cancel fires inside the third run's setup: the first
-	// three runs complete (the canceling run itself finishes — cancellation
-	// only skips runs that have not started), the rest are stamped canceled.
-	if completed != 3 || canceled != len(runs)-3 {
-		t.Errorf("completed = %d, canceled = %d; want 3 and %d", completed, canceled, len(runs)-3)
 	}
 }

@@ -3,6 +3,7 @@ package env
 import (
 	"container/list"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -23,7 +24,9 @@ import (
 // first tier; the spill directory is consulted on a memory miss before
 // falling back to building.
 //
-// All methods are safe for concurrent use.
+// All methods are safe for concurrent use. Concurrent misses on one key are
+// single-flight: the first caller builds the world, the others wait for that
+// build and receive clones of it.
 type WorldCache struct {
 	maxBytes int64
 	dir      string
@@ -37,6 +40,9 @@ type WorldCache struct {
 	evicts int64
 	spillH int64 // misses served from the spill tier
 	spillW int64 // snapshots written to the spill tier
+
+	// inflight holds the keys whose world is being built (guarded by mu).
+	inflight map[string]*worldBuild
 }
 
 // worldEntry is one cached world and its start position.
@@ -47,9 +53,18 @@ type worldEntry struct {
 	size  int64
 }
 
+// worldBuild is one build in flight. Callers that miss the same key while
+// it runs wait on done, then read the outcome.
+type worldBuild struct {
+	done  chan struct{} // closed once the fields below are final
+	world *World        // the pristine built world; nil when err is set
+	start geom.Vec3
+	err   error
+}
+
 // WorldCacheStats is a point-in-time snapshot of cache effectiveness.
 type WorldCacheStats struct {
-	Hits        int64 // lookups served from memory or spill
+	Hits        int64 // lookups served from memory, spill or a build in flight
 	Misses      int64 // lookups that had to build the world
 	Evictions   int64 // entries dropped by the LRU size bound
 	SpillHits   int64 // of Hits, how many came from the disk spill tier
@@ -76,7 +91,7 @@ func WithCacheDir(dir string) WorldCacheOption {
 
 // NewWorldCache constructs an empty cache.
 func NewWorldCache(opts ...WorldCacheOption) *WorldCache {
-	c := &WorldCache{byKey: map[string]*list.Element{}, lru: list.New()}
+	c := &WorldCache{byKey: map[string]*list.Element{}, inflight: map[string]*worldBuild{}, lru: list.New()}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -88,8 +103,10 @@ func NewWorldCache(opts ...WorldCacheOption) *WorldCache {
 
 // GetOrBuild returns a private deep clone of the world for key, building (and
 // caching) it with build on a miss. Every caller gets its own clone —
-// simulations mutate worlds freely without poisoning the cache. Build errors
-// are returned verbatim and cache nothing.
+// simulations mutate worlds freely without poisoning the cache. Callers that
+// miss a key while its build is in flight wait for that build instead of
+// starting another. Build errors reach the building caller and every waiter
+// verbatim and cache nothing.
 func (c *WorldCache) GetOrBuild(key string, build func() (*World, geom.Vec3, error)) (*World, geom.Vec3, error) {
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
@@ -100,25 +117,56 @@ func (c *WorldCache) GetOrBuild(key string, build func() (*World, geom.Vec3, err
 		c.mu.Unlock()
 		return w, start, nil
 	}
+	b, waiting := c.inflight[key]
+	if waiting {
+		c.hits++
+	} else {
+		b = &worldBuild{done: make(chan struct{})}
+		c.inflight[key] = b
+	}
 	c.mu.Unlock()
 
+	if !waiting {
+		c.fill(key, b, build)
+	}
+	<-b.done
+	if b.err != nil {
+		return nil, geom.Vec3{}, b.err
+	}
+	// The original stays in the cache pristine; the building caller gets a
+	// clone too, so no caller can ever mutate the cached copy.
+	return b.world.Clone(), b.start, nil
+}
+
+// fill runs the build in flight for key — from the spill tier when it holds
+// the world, else with build — caches the outcome, and releases the waiters.
+// A panicking build still releases them, with an error.
+func (c *WorldCache) fill(key string, b *worldBuild, build func() (*World, geom.Vec3, error)) {
+	defer func() {
+		if b.world == nil && b.err == nil {
+			b.err = fmt.Errorf("env: building world %s panicked", key)
+		}
+		c.mu.Lock()
+		delete(c.inflight, key)
+		c.mu.Unlock()
+		close(b.done)
+	}()
 	if w, start, ok := c.loadSpill(key); ok {
 		c.insert(key, w, start, true)
-		return w.Clone(), start, nil
+		b.world, b.start = w, start
+		return
 	}
-
 	w, start, err := build()
 	if err != nil {
 		c.mu.Lock()
 		c.misses++
 		c.mu.Unlock()
-		return nil, geom.Vec3{}, err
+		b.err = err
+		return
 	}
 	c.insert(key, w, start, false)
 	c.writeSpill(key, w, start)
-	// The built original goes into the cache pristine; the builder too gets a
-	// clone, so no caller can ever mutate the cached copy.
-	return w.Clone(), start, nil
+	b.world, b.start = w, start
 }
 
 // Contains reports whether key is resident in the in-memory tier (no recency
@@ -154,7 +202,7 @@ func (c *WorldCache) insert(key string, w *World, start geom.Vec3, fromSpill boo
 		c.misses++
 	}
 	if el, ok := c.byKey[key]; ok {
-		// Lost a build race: keep the incumbent (identical content).
+		// Already resident: keep the incumbent (identical content).
 		c.lru.MoveToFront(el)
 		return
 	}

@@ -5,7 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"mavbench/internal/geom"
 )
@@ -138,6 +141,102 @@ func TestWorldCacheBuildError(t *testing.T) {
 	}
 	if st := c.Stats(); st.Entries != 0 || st.Misses != 1 {
 		t.Fatalf("error cached something: %+v", st)
+	}
+}
+
+// missConcurrently starts one GetOrBuild of key whose build is held open,
+// lets n more callers miss the same key, then releases the build. It
+// returns every caller's world and error (index 0 is the first caller) and
+// how many times build ran.
+func missConcurrently(c *WorldCache, key string, n int, build func() (*World, geom.Vec3, error)) ([]*World, []error, int32) {
+	release, held := make(chan struct{}), make(chan struct{})
+	var builds atomic.Int32
+	hold := func() (*World, geom.Vec3, error) {
+		if builds.Add(1) == 1 {
+			close(held)
+			<-release
+		}
+		return build()
+	}
+	worlds, errs := make([]*World, n+1), make([]error, n+1)
+	var wg sync.WaitGroup
+	for i := range worlds {
+		if i == 1 {
+			<-held
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			worlds[i], _, errs[i] = c.GetOrBuild(key, hold)
+		}(i)
+	}
+	// Each caller that joins the held build counts a hit. Wait for all of
+	// them, but only up to a deadline: a cache that builds once per caller
+	// never counts those hits, and must fail the caller's checks, not hang.
+	for deadline := time.Now().Add(2 * time.Second); c.Stats().Hits < int64(n) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+	return worlds, errs, builds.Load()
+}
+
+// TestWorldCacheSingleFlight misses one key from several goroutines while
+// the first build is held open: the world must be built once, and every
+// caller must get its own clone of that one build.
+func TestWorldCacheSingleFlight(t *testing.T) {
+	const waiters = 4
+	c := NewWorldCache()
+	worlds, errs, builds := missConcurrently(c, "cc33", waiters, func() (*World, geom.Vec3, error) {
+		return buildTestWorld(5), geom.V3(1, 2, 0), nil
+	})
+	if builds != 1 {
+		t.Fatalf("concurrent misses built the world %d times, want 1", builds)
+	}
+	want := worldFingerprint(buildTestWorld(5))
+	for i, w := range worlds {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		for j := 0; j < i; j++ {
+			if worlds[j] == w {
+				t.Fatalf("callers %d and %d share one world (each must get a clone)", j, i)
+			}
+		}
+		if got := worldFingerprint(w); !reflect.DeepEqual(got, want) {
+			t.Errorf("caller %d got a world that differs from the build", i)
+		}
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != waiters || st.Entries != 1 {
+		t.Errorf("stats = %+v, want 1 miss, %d hits, 1 entry", st, waiters)
+	}
+}
+
+// TestWorldCacheSingleFlightError fails a build that other callers are
+// waiting on: every one of them gets the error, nothing is cached, and the
+// next lookup builds afresh.
+func TestWorldCacheSingleFlightError(t *testing.T) {
+	const waiters = 3
+	c := NewWorldCache()
+	boom := errors.New("boom")
+	_, errs, builds := missConcurrently(c, "dd44", waiters, func() (*World, geom.Vec3, error) {
+		return nil, geom.Vec3{}, boom
+	})
+	if builds != 1 {
+		t.Fatalf("concurrent misses ran the build %d times, want 1", builds)
+	}
+	for i, err := range errs {
+		if !errors.Is(err, boom) {
+			t.Errorf("caller %d: err = %v, want boom", i, err)
+		}
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Misses != 1 {
+		t.Fatalf("failed build cached something: %+v", st)
+	}
+	if _, _, err := c.GetOrBuild("dd44", func() (*World, geom.Vec3, error) {
+		return buildTestWorld(6), geom.Vec3{}, nil
+	}); err != nil || !c.Contains("dd44") {
+		t.Fatalf("rebuild after a failed build: err = %v, cached = %v", err, c.Contains("dd44"))
 	}
 }
 

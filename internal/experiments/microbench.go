@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
 	"mavbench/internal/des"
 	"mavbench/internal/energy"
@@ -196,7 +195,12 @@ func scriptedMissionPower(cruise float64) []Fig9bRow {
 			s.CompleteMission(true, "")
 		}
 	})
-	rep, _ := s.Run()
+	fleet, err := sim.NewFleet(s)
+	if err != nil {
+		return nil
+	}
+	reports, _ := fleet.Run()
+	rep := reports[0]
 
 	// Aggregate the power trace by phase.
 	type acc struct {
@@ -238,6 +242,3 @@ func scriptedMissionPower(cruise float64) []Fig9bRow {
 	}
 	return rows
 }
-
-// helper to keep fmt import used even if future edits drop other uses.
-var _ = fmt.Sprintf

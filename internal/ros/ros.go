@@ -51,7 +51,7 @@ type ServiceHandler func(now time.Duration, req Message) (Message, CallbackResul
 // Graph is the node graph plus its executor. It is the MAVBench "companion
 // computer" runtime.
 type Graph struct {
-	engine *Graph_engine
+	engine *des.Engine
 
 	topics   map[string]*Topic
 	services map[string]*Service
@@ -59,10 +59,6 @@ type Graph struct {
 
 	exec *Executor
 }
-
-// Graph_engine is a tiny indirection so Graph tests can swap engines; it is
-// not exported outside the package.
-type Graph_engine = des.Engine
 
 // NewGraph builds an empty node graph whose callbacks execute on an executor
 // with the given number of cores, scheduled on engine.

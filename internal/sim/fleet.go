@@ -1,5 +1,6 @@
-// Multi-vehicle fleet runner: N independent closed-loop simulators advanced
-// in lockstep over clones of one shared world.
+// Fleet runner: every closed-loop mission runs here. N ≥ 1 independent
+// simulators advance in lockstep over clones of one shared world; a
+// single-drone mission is a fleet of one.
 //
 // The paper's methodology (MAVBench, Boroujerdian et al., MICRO 2018,
 // Section III) is single-vehicle; the fleet extends it to N-drone missions
@@ -22,9 +23,9 @@ import (
 	"mavbench/internal/telemetry"
 )
 
-// fleetEventBudget bounds the events processed per drone — the same runaway
-// safety net as Simulator.Run's 50M budget.
-const fleetEventBudget = 50_000_000
+// eventBudget bounds the events processed per drone: a safety net against
+// runaway event loops.
+const eventBudget = 50_000_000
 
 // Fleet runs N simulators in lockstep over one shared mission timeline.
 type Fleet struct {
@@ -44,9 +45,6 @@ func NewFleet(sims ...*Simulator) (*Fleet, error) {
 	}
 	return &Fleet{sims: sims}, nil
 }
-
-// Sims returns the fleet's simulators in vehicle-index order.
-func (f *Fleet) Sims() []*Simulator { return f.sims }
 
 // quantum returns the lockstep advance interval: the smallest physics step of
 // any drone, so no vehicle ever integrates across a collision-check boundary.
@@ -77,9 +75,9 @@ func (f *Fleet) Run() ([]telemetry.Report, error) {
 			if err := s.engine.RunUntil(t); err != nil && err != des.ErrStopped {
 				return f.finalReports(), err
 			}
-			if s.engine.Processed() > fleetEventBudget {
-				return f.finalReports(), fmt.Errorf("sim: fleet drone %d exhausted event budget of %d at t=%v",
-					s.cfg.VehicleIndex, fleetEventBudget, s.engine.Now())
+			if s.engine.Processed() > eventBudget {
+				return f.finalReports(), fmt.Errorf("sim: drone %d exhausted event budget of %d at t=%v",
+					s.cfg.VehicleIndex, eventBudget, s.engine.Now())
 			}
 			if s.missionDone || s.engine.Stopped() {
 				continue

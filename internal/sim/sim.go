@@ -71,10 +71,10 @@ type Config struct {
 	// FCConfig configures the flight controller; zero value uses defaults.
 	FCConfig actuation.Config
 
-	// VehicleIndex / VehicleCount identify this simulator's drone within a
-	// multi-vehicle fleet (see Fleet). Single-drone runs leave both zero;
-	// workloads use them to coordinate (sector partitioning, altitude
-	// corridors) without any cross-simulator communication.
+	// VehicleIndex / VehicleCount identify this simulator's drone within its
+	// fleet (see Fleet); a zero count means a fleet of one. Workloads use
+	// them to coordinate (sector partitioning, altitude corridors) without
+	// any cross-simulator communication.
 	VehicleIndex int
 	VehicleCount int
 
@@ -437,29 +437,4 @@ func (s *Simulator) publishIMU() {
 	}
 	reading := s.imu.Sample(s.vehicle.State(), 1/s.cfg.IMURateHz, s.Now())
 	s.graph.Topic(TopicIMU).Publish(reading)
-}
-
-// Run executes the closed loop until the mission completes, the horizon is
-// reached or the event budget (a safety net against runaway loops) is spent.
-// It returns the final QoF report.
-func (s *Simulator) Run() (telemetry.Report, error) {
-	s.recorder.StartMission(s.Now())
-	err := s.engine.Run(50_000_000)
-	if err != nil && err != des.ErrStopped {
-		return s.recorder.Report(s.Now()), err
-	}
-	if !s.missionDone {
-		// Horizon reached without completion.
-		s.recorder.EndMission(s.Now(), false, "mission timeout")
-		s.missionDone = true
-	}
-	return s.recorder.Report(s.Now()), nil
-}
-
-// RunFor advances the closed loop by the given amount of virtual time without
-// requiring mission completion (used by micro-benchmarks).
-func (s *Simulator) RunFor(seconds float64) telemetry.Report {
-	s.recorder.StartMission(s.Now())
-	_ = s.engine.RunUntil(s.engine.Now() + des.Seconds(seconds))
-	return s.recorder.Report(s.Now())
 }

@@ -9,6 +9,7 @@ import (
 	"mavbench/internal/env"
 	"mavbench/internal/geom"
 	"mavbench/internal/ros"
+	"mavbench/internal/telemetry"
 )
 
 func emptyWorldSim(t *testing.T, cfg Config) *Simulator {
@@ -19,6 +20,20 @@ func emptyWorldSim(t *testing.T, cfg Config) *Simulator {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// runSolo flies s as a fleet of one and returns its report.
+func runSolo(t *testing.T, s *Simulator) telemetry.Report {
+	t.Helper()
+	fleet, err := NewFleet(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, err := fleet.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reports[0]
 }
 
 func TestNewValidation(t *testing.T) {
@@ -62,10 +77,7 @@ func TestTakeoffFlyLandClosedLoop(t *testing.T) {
 		}
 	})
 
-	rep, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSolo(t, s)
 	if !rep.Success {
 		t.Fatalf("mission failed: %s", rep.FailureReason)
 	}
@@ -112,7 +124,9 @@ func TestSensorTopicsPublish(t *testing.T) {
 		return ros.CallbackResult{}
 	})
 
-	s.RunFor(2)
+	if err := s.Engine().RunUntil(des.Seconds(2)); err != nil {
+		t.Fatal(err)
+	}
 	if depthSeen == 0 || rgbSeen == 0 || gpsSeen == 0 || imuSeen == 0 {
 		t.Errorf("sensor publications missing: depth=%d rgb=%d gps=%d imu=%d", depthSeen, rgbSeen, gpsSeen, imuSeen)
 	}
@@ -138,10 +152,7 @@ func TestCollisionAbortsMission(t *testing.T) {
 			_ = s.IssueVelocity(geom.V3(5, 0, 0), 0)
 		}
 	})
-	rep, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSolo(t, s)
 	if rep.Success {
 		t.Error("flying into a wall should fail the mission")
 	}
@@ -159,10 +170,7 @@ func TestMissionTimeout(t *testing.T) {
 	s := emptyWorldSim(t, cfg)
 	_ = s.Arm()
 	_ = s.Takeoff()
-	rep, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSolo(t, s)
 	if rep.Success {
 		t.Error("timed-out mission should not be successful")
 	}
@@ -189,13 +197,14 @@ func TestComputeCostDelaysWork(t *testing.T) {
 				return ros.CallbackResult{Cost: costModel.MustKernelTime(compute.KernelOctomap), Kernel: compute.KernelOctomap}
 			}, nil)
 		}
-		start := s.Engine().Now()
-		s.RunFor(300)
+		if err := s.Engine().RunUntil(des.Seconds(300)); err != nil {
+			t.Fatal(err)
+		}
 		if done != 8 {
 			t.Fatalf("only %d jobs ran", done)
 		}
 		totals := s.Graph().Executor().KernelTotals()
-		return totals[compute.KernelOctomap] - 0*start
+		return totals[compute.KernelOctomap]
 	}
 	slow := elapsed(compute.TX2(2, compute.TX2FreqLowGHz))
 	fast := elapsed(compute.DefaultTX2())

@@ -27,7 +27,7 @@ func NewBoundedMemoryCache(maxEntries int) *MemoryCache {
 	return &MemoryCache{m: map[string]Result{}, max: maxEntries}
 }
 
-// Get implements ResultCache.
+// Get implements ResultStore.
 func (c *MemoryCache) Get(hash string) (Result, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -35,7 +35,7 @@ func (c *MemoryCache) Get(hash string) (Result, bool) {
 	return res, ok
 }
 
-// Put implements ResultCache.
+// Put implements ResultStore.
 func (c *MemoryCache) Put(hash string, res Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

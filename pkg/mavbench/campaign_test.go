@@ -3,6 +3,7 @@ package mavbench
 import (
 	"context"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -38,6 +39,15 @@ func (w *testWorkload) Setup(s *sim.Simulator, p core.Params) error {
 	})
 	return nil
 }
+
+// panicWorkload is a testWorkload whose Setup panics.
+type panicWorkload struct{ testWorkload }
+
+func (w *panicWorkload) Setup(*sim.Simulator, core.Params) error { panic("wired backwards") }
+
+// registerPanicWorkloads registers the panic test's workloads once per
+// process, so the test also passes under -count.
+var registerPanicWorkloads sync.Once
 
 func mustSpec(t *testing.T, workload string, opts ...Option) Spec {
 	t.Helper()
@@ -102,7 +112,7 @@ func TestCampaignCacheServesRepeatedSpecs(t *testing.T) {
 	spec := mustSpec(t, wl.name, WithSeed(5), WithMaxMissionTime(30))
 	cache := NewMemoryCache()
 
-	fresh, err := NewCampaign(spec).SetCache(cache).Collect(context.Background())
+	fresh, err := NewCampaign(spec).SetStore(cache).Collect(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +124,7 @@ func TestCampaignCacheServesRepeatedSpecs(t *testing.T) {
 	}
 	ran := wl.runs.Load()
 
-	served, err := NewCampaign(spec).SetCache(cache).Collect(context.Background())
+	served, err := NewCampaign(spec).SetStore(cache).Collect(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,5 +255,34 @@ func TestCampaignCancellationMidStream(t *testing.T) {
 	}
 	if gated.runs.Load() != 1 {
 		t.Errorf("gated workload ran %d times, want 1 (run 2 canceled before start)", gated.runs.Load())
+	}
+}
+
+// TestCampaignRecoversSetupPanic runs a spec whose workload panics in Setup
+// between two healthy specs: the panic becomes that spec's failed Result,
+// its neighbours still succeed, and Collect's joined error names it.
+func TestCampaignRecoversSetupPanic(t *testing.T) {
+	registerPanicWorkloads.Do(func() {
+		core.Register(&testWorkload{name: "api_panic_healthy"})
+		core.Register(&panicWorkload{testWorkload{name: "api_panic_setup"}})
+	})
+	results, err := NewCampaign(
+		mustSpec(t, "api_panic_healthy", WithSeed(1), WithMaxMissionTime(30)),
+		mustSpec(t, "api_panic_setup", WithSeed(1), WithMaxMissionTime(30)),
+		mustSpec(t, "api_panic_healthy", WithSeed(2), WithMaxMissionTime(30)),
+	).SetWorkers(2).Collect(context.Background())
+	if len(results) != 3 {
+		t.Fatalf("got %d results, want 3", len(results))
+	}
+	if results[1].OK() || !strings.Contains(results[1].Error, "panicked") {
+		t.Errorf("panicking spec's Error = %q, want it to say it panicked", results[1].Error)
+	}
+	for _, i := range []int{0, 2} {
+		if !results[i].OK() || !results[i].Report.Success {
+			t.Errorf("healthy spec %d: error %q, success %v", i, results[i].Error, results[i].Report.Success)
+		}
+	}
+	if err == nil || !strings.Contains(err.Error(), "spec 1 (api_panic_setup)") || !strings.Contains(err.Error(), "panicked") {
+		t.Errorf("joined error = %v, want it to name the panicking spec", err)
 	}
 }

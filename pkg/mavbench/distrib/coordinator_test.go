@@ -144,8 +144,11 @@ func TestCoordinatorRequeuesOnWorkerDeath(t *testing.T) {
 	wl := &fleetWorkload{name: uniqueDistribWorkload("distrib_requeue"), gateOnce: make(chan struct{})}
 	core.Register(wl)
 
-	w1 := startWorker(t, server.Config{Workers: 1})
-	w2 := startWorker(t, server.Config{Workers: 1})
+	// Each worker gets its own world cache, as separate worker processes
+	// would. Sharing the process-wide default, the survivor would wait on
+	// the wedged worker's build of the same world instead of building it.
+	w1 := startWorker(t, server.Config{Workers: 1, WorldCache: mavbench.NewWorldCache()})
+	w2 := startWorker(t, server.Config{Workers: 1, WorldCache: mavbench.NewWorldCache()})
 	// Free the gated first run at the end so the orphaned engine goroutine
 	// on the killed worker can finish before the httptest servers close.
 	gateReleased := false

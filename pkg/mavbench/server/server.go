@@ -69,10 +69,6 @@ type Config struct {
 	// set. Point it at a mavbench.DiskStore to persist results and share
 	// them across a fleet.
 	Store mavbench.ResultStore
-	// Cache is the former name of Store, honored when Store is nil.
-	//
-	// Deprecated: use Store.
-	Cache mavbench.ResultStore
 	// DisableCache turns the result store off entirely.
 	DisableCache bool
 	// WorldCache overrides the world cache campaigns run with; nil selects
@@ -222,9 +218,6 @@ func New(cfg Config) *Server {
 		specRefs:  map[string]int{},
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	if s.cache == nil {
-		s.cache = cfg.Cache
-	}
 	if s.cache == nil && !cfg.DisableCache {
 		// Bounded: a long-running service must not let unique-spec traffic
 		// grow the cache without limit.

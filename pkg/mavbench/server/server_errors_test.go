@@ -53,7 +53,7 @@ func collectResults(t *testing.T, baseURL, id string) []mavbench.Result {
 // re-simulates a spec whose entry was evicted by newer traffic.
 func TestServerCacheEvictionUnderFIFOPressure(t *testing.T) {
 	core.Register(&serviceWorkload{name: "svc_fifo_workload"})
-	ts := newTestServer(t, Config{Workers: 1, Cache: mavbench.NewBoundedMemoryCache(1)})
+	ts := newTestServer(t, Config{Workers: 1, Store: mavbench.NewBoundedMemoryCache(1)})
 
 	run := func(seed int) mavbench.Result {
 		body := fmt.Sprintf(`{"specs": [{"workload": "svc_fifo_workload", "seed": %d, "max_mission_time_s": 30}]}`, seed)

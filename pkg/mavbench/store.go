@@ -17,9 +17,3 @@ type ResultStore interface {
 	// Put stores a successful result under its spec hash.
 	Put(hash string, res Result)
 }
-
-// ResultCache is the former name of ResultStore, kept as an alias so code
-// written against earlier releases keeps compiling.
-//
-// Deprecated: use ResultStore.
-type ResultCache = ResultStore

@@ -17,14 +17,16 @@ import (
 // writes — the DiskStore pattern), which lets worlds survive restarts and be
 // shared across the processes of a fleet worker box. Construct with
 // NewWorldCache, or use the process-wide DefaultWorldCache that campaigns
-// pick up automatically. Safe for concurrent use.
+// pick up automatically. Safe for concurrent use; runs that miss a world
+// while another run is building it wait for that one build.
 type WorldCache struct {
 	c *env.WorldCache
 }
 
 // WorldCacheStats is a point-in-time snapshot of cache effectiveness.
 type WorldCacheStats struct {
-	// Hits counts lookups served without building (memory or disk spill).
+	// Hits counts lookups served without building (memory, disk spill, or
+	// another run's build of the same world).
 	Hits int64 `json:"hits"`
 	// Misses counts lookups that built the world.
 	Misses int64 `json:"misses"`
