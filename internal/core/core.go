@@ -351,6 +351,21 @@ func Register(w Workload) {
 	registry[w.Name()] = w
 }
 
+// RegisterFor registers ws for the life of one test: each is removed from the
+// registry again when the test's cleanup runs, so the test can run repeatedly
+// in one process (go test -count=N). t is usually a *testing.T.
+func RegisterFor(t interface{ Cleanup(func()) }, ws ...Workload) {
+	for _, w := range ws {
+		Register(w)
+		name := w.Name()
+		t.Cleanup(func() {
+			registryMu.Lock()
+			defer registryMu.Unlock()
+			delete(registry, name)
+		})
+	}
+}
+
 // Lookup returns the named workload.
 func Lookup(name string) (Workload, error) {
 	registryMu.RLock()

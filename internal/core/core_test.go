@@ -106,12 +106,7 @@ func TestScenarioResolution(t *testing.T) {
 
 func TestValidateScenarioFields(t *testing.T) {
 	fw := &fakeWorkload{name: "scenario_validate_workload"}
-	Register(fw)
-	defer func() {
-		registryMu.Lock()
-		delete(registry, fw.name)
-		registryMu.Unlock()
-	}()
+	RegisterFor(t, fw)
 
 	if err := (Params{Workload: fw.name, Scenario: "disaster-sparse", Difficulty: 0.5}).Validate(); err != nil {
 		t.Fatalf("valid scenario rejected: %v", err)
@@ -136,12 +131,7 @@ func TestValidateScenarioFields(t *testing.T) {
 
 func TestValidateRejectsUnknownNames(t *testing.T) {
 	fw := &fakeWorkload{name: "validate_test_workload"}
-	Register(fw)
-	defer func() {
-		registryMu.Lock()
-		delete(registry, fw.name)
-		registryMu.Unlock()
-	}()
+	RegisterFor(t, fw)
 
 	ok := Params{Workload: fw.name, Detector: "hog", Localizer: "gps", Planner: "prm", Environment: "indoor"}
 	if err := ok.Validate(); err != nil {
@@ -206,12 +196,7 @@ func TestResultJSONCarriesError(t *testing.T) {
 
 func TestRegistryLifecycle(t *testing.T) {
 	fw := &fakeWorkload{name: "fake_test_workload"}
-	Register(fw)
-	defer func() {
-		registryMu.Lock()
-		delete(registry, fw.name)
-		registryMu.Unlock()
-	}()
+	RegisterFor(t, fw)
 
 	got, err := Lookup(fw.name)
 	if err != nil || got != Workload(fw) {
@@ -233,12 +218,7 @@ func TestRegistryLifecycle(t *testing.T) {
 
 func TestRegisterPanicsOnDuplicateAndNil(t *testing.T) {
 	fw := &fakeWorkload{name: "dup_workload"}
-	Register(fw)
-	defer func() {
-		registryMu.Lock()
-		delete(registry, fw.name)
-		registryMu.Unlock()
-	}()
+	RegisterFor(t, fw)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -259,12 +239,7 @@ func TestRegisterPanicsOnDuplicateAndNil(t *testing.T) {
 
 func TestRunWithFakeWorkload(t *testing.T) {
 	fw := &fakeWorkload{name: "runner_test_workload"}
-	Register(fw)
-	defer func() {
-		registryMu.Lock()
-		delete(registry, fw.name)
-		registryMu.Unlock()
-	}()
+	RegisterFor(t, fw)
 
 	res, err := Run(Params{Workload: fw.name, Seed: 3, MaxMissionTimeS: 30})
 	if err != nil {
@@ -292,12 +267,7 @@ func TestRunUnknownWorkload(t *testing.T) {
 
 func TestCloudOffloadConfiguration(t *testing.T) {
 	fw := &fakeWorkload{name: "offload_test_workload"}
-	Register(fw)
-	defer func() {
-		registryMu.Lock()
-		delete(registry, fw.name)
-		registryMu.Unlock()
-	}()
+	RegisterFor(t, fw)
 	p := Params{Workload: fw.name, CloudOffload: true, MaxMissionTimeS: 30}
 	if _, err := Run(p); err != nil {
 		t.Fatal(err)

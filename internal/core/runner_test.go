@@ -25,16 +25,6 @@ func (p *panickyWorkload) World(pr Params) (*env.World, geom.Vec3, error) {
 }
 func (p *panickyWorkload) Setup(*sim.Simulator, Params) error { panic("wired backwards") }
 
-func registerTemp(t *testing.T, w Workload) {
-	t.Helper()
-	Register(w)
-	t.Cleanup(func() {
-		registryMu.Lock()
-		delete(registry, w.Name())
-		registryMu.Unlock()
-	})
-}
-
 // runPool runs every parameter set through Run on a pool of the given size,
 // the way mavbench.Campaign drives the Runner, and returns the results and
 // per-run errors in input order.
@@ -109,7 +99,7 @@ func TestRepeatParamsDerivesSeeds(t *testing.T) {
 // worker count, because seeds derive from run identity rather than from
 // scheduling.
 func TestRunnerDeterminism(t *testing.T) {
-	registerTemp(t, &fakeWorkload{name: "det_workload"})
+	RegisterFor(t, &fakeWorkload{name: "det_workload"})
 	runs := SweepParams(Params{Workload: "det_workload", Seed: 42, MaxMissionTimeS: 30},
 		compute.PaperOperatingPoints())
 
@@ -136,7 +126,7 @@ func TestRunnerDeterminism(t *testing.T) {
 }
 
 func TestRunnerOrderingMatchesInput(t *testing.T) {
-	registerTemp(t, &fakeWorkload{name: "order_workload"})
+	RegisterFor(t, &fakeWorkload{name: "order_workload"})
 	points := compute.PaperOperatingPoints()
 	res, errs := runPool(4, SweepParams(Params{Workload: "order_workload", Seed: 7, MaxMissionTimeS: 30}, points))
 	if err := errors.Join(errs...); err != nil {
@@ -150,8 +140,7 @@ func TestRunnerOrderingMatchesInput(t *testing.T) {
 }
 
 func TestRunnerPanicRecovery(t *testing.T) {
-	registerTemp(t, &panickyWorkload{name: "panic_workload"})
-	registerTemp(t, &fakeWorkload{name: "healthy_workload"})
+	RegisterFor(t, &panickyWorkload{name: "panic_workload"}, &fakeWorkload{name: "healthy_workload"})
 	runs := []Params{
 		{Workload: "healthy_workload", Seed: 1, MaxMissionTimeS: 30},
 		{Workload: "panic_workload", Seed: 1, MaxMissionTimeS: 30},
@@ -172,7 +161,7 @@ func TestRunnerPanicRecovery(t *testing.T) {
 }
 
 func TestRunnerRunErrorsKeepOrderAndJoin(t *testing.T) {
-	registerTemp(t, &fakeWorkload{name: "err_workload"})
+	RegisterFor(t, &fakeWorkload{name: "err_workload"})
 	runs := []Params{
 		{Workload: "err_workload", Seed: 1, MaxMissionTimeS: 30},
 		{Workload: "definitely_missing", Seed: 1},

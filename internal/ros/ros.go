@@ -206,7 +206,10 @@ func (t *Topic) subscribe(n *Node, queueDepth int, handler Handler) {
 
 // Publish delivers msg to every subscriber through the executor. Publishing
 // itself is free (it models a zero-copy intra-process transport); each
-// subscriber's callback cost is charged when it runs.
+// subscriber's callback cost is charged when it runs. With no subscriber the
+// message is counted in Published and discarded, so a producer whose message
+// is costly to build should check Subscribers first, as the simulator's
+// sensors do.
 func (t *Topic) Publish(msg Message) {
 	t.published++
 	for _, sub := range t.subscribers {

@@ -127,31 +127,39 @@ type DepthCamera struct {
 	vFrac                []float64
 	upW, upH, upRx, upRy int
 	// Capture cache: a noise-free capture is a pure function of the camera
-	// pose and the world geometry. When the MAV hovers (e.g. during planning
-	// stalls) successive captures repeat the same pose over an unchanged
-	// world, and the previous frame's pixels are reused verbatim instead of
-	// re-casting every ray. The cache is keyed on the world pointer, its
-	// geometry version and the exact pose, so any geometry change or motion
-	// invalidates it; with depth noise enabled it is bypassed entirely (a
-	// cached frame would skip the RNG draws and change the noise stream).
+	// (intrinsics and ray grid), its pose and the world geometry. When the
+	// MAV hovers (e.g. during planning stalls) successive captures repeat the
+	// same pose over an unchanged world, and the previous frame's pixels are
+	// reused verbatim instead of re-casting every ray. The cache is keyed on
+	// the world pointer, its geometry version and the exact view, so any
+	// geometry change, motion or camera change invalidates it; with depth
+	// noise enabled it is bypassed entirely (a cached frame would skip the
+	// RNG draws and change the noise stream).
 	cacheWorld   *env.World
 	cacheVersion uint64
-	cachePose    geom.Pose
+	cacheView    view
 	cacheData    []float64
 	// Static-phase cache: per-ray ground+static hit distances for the last
-	// pose, keyed on the world's StaticVersion. It stays valid while only
+	// view, keyed on the world's StaticVersion. It stays valid while only
 	// dynamic obstacles move, so a hovering MAV in a world with patrolling
 	// traffic re-casts just the dynamic overlay each frame. Safe with noise
 	// enabled: the noise draw happens per final sample either way.
 	staticWorld   *env.World
 	staticVersion uint64
-	staticPose    geom.Pose
+	staticView    view
 	staticGrid    []float64
 	// free holds pixel buffers returned through Recycle, reused by the next
 	// Capture instead of allocating a fresh frame. Every element of a reused
 	// buffer is overwritten before the image is returned, so no depth values
 	// can leak between frames.
 	free [][]float64
+}
+
+// view is everything besides the world that a noise-free ray grid depends on.
+type view struct {
+	in     CameraIntrinsics
+	rx, ry int
+	pose   geom.Pose
 }
 
 // NewDepthCamera returns a camera with the default intrinsics and ray grid.
@@ -188,19 +196,20 @@ func (n *DepthNoise) Perturb(d float64) float64 {
 // front-facing RGB-D configuration of the benchmark.
 func (c *DepthCamera) Capture(w *env.World, pose geom.Pose, timestamp float64) *DepthImage {
 	in := c.Intrinsics
-	cacheable := c.Noise == nil || c.Noise.StdDevM <= 0
-	if cacheable && c.cacheData != nil && c.cacheWorld == w &&
-		c.cacheVersion == w.Version() && c.cachePose == pose {
-		img := &DepthImage{Width: in.Width, Height: in.Height, Data: c.pixelBuffer(in.Width * in.Height), Pose: pose, Timestamp: timestamp}
-		copy(img.Data, c.cacheData)
-		return img
-	}
 	rx, ry := c.RaysX, c.RaysY
 	if rx <= 1 {
 		rx = 64
 	}
 	if ry <= 1 {
 		ry = 48
+	}
+	vw := view{in: in, rx: rx, ry: ry, pose: pose}
+	cacheable := c.Noise == nil || c.Noise.StdDevM <= 0
+	if cacheable && c.cacheData != nil && c.cacheWorld == w &&
+		c.cacheVersion == w.Version() && c.cacheView == vw {
+		img := &DepthImage{Width: in.Width, Height: in.Height, Data: c.pixelBuffer(in.Width * in.Height), Pose: pose, Timestamp: timestamp}
+		copy(img.Data, c.cacheData)
+		return img
 	}
 	if cap(c.grid) < rx*ry {
 		c.grid = make([]float64, rx*ry)
@@ -233,13 +242,12 @@ func (c *DepthCamera) Capture(w *env.World, pose geom.Pose, timestamp float64) *
 		}
 		c.pitchVF, c.pitchRy = vf, ry
 	}
-	// Refresh the static-phase cache unless the pose and static scene are
+	// Refresh the static-phase cache unless the view and static scene are
 	// exactly those of the previous capture. Each ray's value is
 	// min(staticDist, dynamicDist) either way — the same candidates through
 	// the same arithmetic — so reusing the static phase is bit-identical to
 	// re-casting it (see World.RayCast).
-	refreshStatics := !(c.staticWorld == w && c.staticVersion == w.StaticVersion() && c.staticPose == pose) ||
-		len(c.staticGrid) != rx*ry
+	refreshStatics := !(c.staticWorld == w && c.staticVersion == w.StaticVersion() && c.staticView == vw)
 	if cap(c.staticGrid) < rx*ry {
 		c.staticGrid = make([]float64, rx*ry)
 	}
@@ -272,7 +280,7 @@ func (c *DepthCamera) Capture(w *env.World, pose geom.Pose, timestamp float64) *
 			grid[k] = c.Noise.Perturb(dist)
 		}
 	}
-	c.staticWorld, c.staticVersion, c.staticPose = w, w.StaticVersion(), pose
+	c.staticWorld, c.staticVersion, c.staticView = w, w.StaticVersion(), vw
 
 	if c.upW != in.Width || c.upH != in.Height || c.upRx != rx || c.upRy != ry {
 		c.uIdx, c.uFrac = append(c.uIdx[:0], make([]int32, in.Width)...), append(c.uFrac[:0], make([]float64, in.Width)...)
@@ -322,7 +330,7 @@ func (c *DepthCamera) Capture(w *env.World, pose geom.Pose, timestamp float64) *
 		}
 		c.cacheData = c.cacheData[:len(img.Data)]
 		copy(c.cacheData, img.Data)
-		c.cacheWorld, c.cacheVersion, c.cachePose = w, w.Version(), pose
+		c.cacheWorld, c.cacheVersion, c.cacheView = w, w.Version(), vw
 	}
 	return img
 }

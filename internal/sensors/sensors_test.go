@@ -122,6 +122,60 @@ func TestDepthNoise(t *testing.T) {
 	}
 }
 
+// TestDepthCameraCachesFollowCameraChanges pins that neither capture cache
+// serves a frame rendered by another camera: after the intrinsics or the ray
+// grid change, a capture at the same pose equals a fresh camera's. Noise-free
+// cameras exercise the whole-frame cache; noisy ones bypass it and exercise
+// the static-phase cache.
+func TestDepthCameraCachesFollowCameraChanges(t *testing.T) {
+	w := wallWorld()
+	pose := geom.NewPose(geom.V3(0, 0, 5), 0.3)
+	camera := func(rx, ry int, maxRange, fov float64) func() *DepthCamera {
+		return func() *DepthCamera {
+			in := DefaultIntrinsics()
+			in.Width, in.Height, in.MaxRange, in.HorizontalFOV = 48, 36, maxRange, fov
+			return &DepthCamera{Intrinsics: in, RaysX: rx, RaysY: ry}
+		}
+	}
+	base := camera(48, 36, 20, math.Pi/2)
+	variants := map[string]func() *DepthCamera{
+		"ray grid":            camera(64, 48, 20, math.Pi/2),
+		"transposed ray grid": camera(36, 48, 20, math.Pi/2),
+		"max range":           camera(48, 36, 4, math.Pi/2),
+		"field of view":       camera(48, 36, 20, math.Pi/3),
+	}
+	for name, variant := range variants {
+		for i, order := range [][2]func() *DepthCamera{{base, variant}, {variant, base}} {
+			name := []string{"to ", "from "}[i] + name
+			for _, noisy := range []bool{false, true} {
+				cam := order[0]()
+				if noisy {
+					cam.Noise = NewDepthNoise(0.5, 3)
+				}
+				cam.Capture(w, pose, 0)
+				fresh := order[1]()
+				cam.Intrinsics, cam.RaysX, cam.RaysY = fresh.Intrinsics, fresh.RaysX, fresh.RaysY
+				if noisy {
+					cam.Noise, fresh.Noise = NewDepthNoise(0.5, 3), NewDepthNoise(0.5, 3)
+				}
+				got, want := cam.Capture(w, pose, 1), fresh.Capture(w, pose, 1)
+				if len(got.Data) != len(want.Data) {
+					t.Fatalf("%s (noisy=%v): %d pixels, want %d", name, noisy, len(got.Data), len(want.Data))
+				}
+				stale := 0
+				for p := range want.Data {
+					if got.Data[p] != want.Data[p] {
+						stale++
+					}
+				}
+				if stale > 0 {
+					t.Errorf("%s (noisy=%v): %d of %d pixels differ from a fresh camera", name, noisy, stale, len(want.Data))
+				}
+			}
+		}
+	}
+}
+
 func TestDepthNoiseNilAndZero(t *testing.T) {
 	var n *DepthNoise
 	if n.Perturb(5) != 5 {

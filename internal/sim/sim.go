@@ -107,6 +107,12 @@ func DefaultConfig(seed int64) Config {
 }
 
 // Simulator owns one closed-loop run.
+//
+// Sensing is demand-driven: on each tick a sensor renders its product, and
+// advances its noise or bias stream, only when its topic has a subscriber.
+// The tick's DES event (sim/depth, sim/rgb, sim/gps, sim/imu) fires either
+// way, so the event timeline does not depend on who listens. A node that
+// subscribes mid-run receives from that sensor's next tick on.
 type Simulator struct {
 	cfg Config
 
@@ -124,6 +130,8 @@ type Simulator struct {
 	rgbCam   *sensors.RGBCamera
 	gps      *sensors.GPS
 	imu      *sensors.IMU
+
+	depthTopic, rgbTopic, gpsTopic, imuTopic *ros.Topic
 
 	seq            uint8
 	commandsIssued uint64
@@ -207,6 +215,10 @@ func New(cfg Config, world *env.World, start geom.Vec3) (*Simulator, error) {
 		s.depthCam.Noise = sensors.NewDepthNoise(cfg.DepthNoiseStd, cfg.Seed+303)
 	}
 	s.rgbCam = sensors.NewRGBCamera()
+	s.depthTopic = s.graph.Topic(TopicDepthImage)
+	s.rgbTopic = s.graph.Topic(TopicRGBFrame)
+	s.gpsTopic = s.graph.Topic(TopicGPS)
+	s.imuTopic = s.graph.Topic(TopicIMU)
 
 	// Route executor kernel accounting into the telemetry recorder.
 	s.graph.Executor().SetKernelObserver(func(kernel, node string, cost time.Duration, startT, endT time.Duration) {
@@ -407,34 +419,34 @@ func (s *Simulator) physicsStep(e *des.Engine, step time.Duration) {
 	s.engine.SchedulePriority(e.Now()+step, -10, "sim/physics", func(e *des.Engine) { s.physicsStep(e, step) })
 }
 
+// sensing reports whether a sensor tick publishing on t should render: the
+// mission is still running and some node subscribes to t.
+func (s *Simulator) sensing(t *ros.Topic) bool { return !s.missionDone && t.Subscribers() > 0 }
+
 func (s *Simulator) publishDepth() {
-	if s.missionDone {
+	if !s.sensing(s.depthTopic) {
 		return
 	}
-	img := s.depthCam.Capture(s.world, s.vehicle.State().Pose(), s.Now())
-	s.graph.Topic(TopicDepthImage).Publish(img)
+	s.depthTopic.Publish(s.depthCam.Capture(s.world, s.vehicle.State().Pose(), s.Now()))
 }
 
 func (s *Simulator) publishRGB() {
-	if s.missionDone {
+	if !s.sensing(s.rgbTopic) {
 		return
 	}
-	frame := s.rgbCam.Capture(s.world, s.vehicle.State().Pose(), s.Now())
-	s.graph.Topic(TopicRGBFrame).Publish(frame)
+	s.rgbTopic.Publish(s.rgbCam.Capture(s.world, s.vehicle.State().Pose(), s.Now()))
 }
 
 func (s *Simulator) publishGPS() {
-	if s.missionDone {
+	if !s.sensing(s.gpsTopic) {
 		return
 	}
-	fix := s.gps.Sample(s.world, s.vehicle.State().Position, s.Now())
-	s.graph.Topic(TopicGPS).Publish(fix)
+	s.gpsTopic.Publish(s.gps.Sample(s.world, s.vehicle.State().Position, s.Now()))
 }
 
 func (s *Simulator) publishIMU() {
-	if s.missionDone {
+	if !s.sensing(s.imuTopic) {
 		return
 	}
-	reading := s.imu.Sample(s.vehicle.State(), 1/s.cfg.IMURateHz, s.Now())
-	s.graph.Topic(TopicIMU).Publish(reading)
+	s.imuTopic.Publish(s.imu.Sample(s.vehicle.State(), 1/s.cfg.IMURateHz, s.Now()))
 }

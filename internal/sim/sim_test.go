@@ -9,6 +9,7 @@ import (
 	"mavbench/internal/env"
 	"mavbench/internal/geom"
 	"mavbench/internal/ros"
+	"mavbench/internal/sensors"
 	"mavbench/internal/telemetry"
 )
 
@@ -101,38 +102,113 @@ func TestTakeoffFlyLandClosedLoop(t *testing.T) {
 	}
 }
 
+// sensorEvents maps each sensor's DES event to the topic it publishes on.
+var sensorEvents = map[string]string{
+	"sim/depth": TopicDepthImage,
+	"sim/rgb":   TopicRGBFrame,
+	"sim/gps":   TopicGPS,
+	"sim/imu":   TopicIMU,
+}
+
+// stamp returns the capture time of a sensor message.
+func stamp(t *testing.T, msg ros.Message) float64 {
+	t.Helper()
+	switch m := msg.(type) {
+	case *sensors.DepthImage:
+		return m.Timestamp
+	case *sensors.Frame:
+		return m.Timestamp
+	case sensors.GPSFix:
+		return m.Timestamp
+	case sensors.IMUReading:
+		return m.Timestamp
+	}
+	t.Fatalf("unexpected sensor message %T", msg)
+	return 0
+}
+
 func TestSensorTopicsPublish(t *testing.T) {
-	cfg := DefaultConfig(5)
-	s := emptyWorldSim(t, cfg)
+	t.Run("subscribed", func(t *testing.T) {
+		s := emptyWorldSim(t, DefaultConfig(5))
+		seen := map[string]int{}
+		for _, topic := range sensorEvents {
+			s.Graph().Node("test").Subscribe(topic, 4, func(now time.Duration, msg ros.Message) ros.CallbackResult {
+				seen[topic]++
+				return ros.CallbackResult{}
+			})
+		}
+		if err := s.Engine().RunUntil(des.Seconds(2)); err != nil {
+			t.Fatal(err)
+		}
+		for _, topic := range sensorEvents {
+			if seen[topic] == 0 {
+				t.Errorf("no publications on %s", topic)
+			}
+		}
+		if seen[TopicIMU] <= seen[TopicGPS] {
+			t.Error("IMU should publish faster than GPS")
+		}
+	})
 
-	depthSeen, rgbSeen, gpsSeen, imuSeen := 0, 0, 0, 0
-	g := s.Graph()
-	g.Node("test").Subscribe(TopicDepthImage, 4, func(now time.Duration, msg ros.Message) ros.CallbackResult {
-		depthSeen++
-		return ros.CallbackResult{}
-	})
-	g.Node("test").Subscribe(TopicRGBFrame, 4, func(now time.Duration, msg ros.Message) ros.CallbackResult {
-		rgbSeen++
-		return ros.CallbackResult{}
-	})
-	g.Node("test").Subscribe(TopicGPS, 4, func(now time.Duration, msg ros.Message) ros.CallbackResult {
-		gpsSeen++
-		return ros.CallbackResult{}
-	})
-	g.Node("test").Subscribe(TopicIMU, 4, func(now time.Duration, msg ros.Message) ros.CallbackResult {
-		imuSeen++
-		return ros.CallbackResult{}
+	// A sensor whose topic nobody subscribes to renders nothing, but its
+	// tick still fires, so the event timeline is the same either way.
+	t.Run("unsubscribed", func(t *testing.T) {
+		s := emptyWorldSim(t, DefaultConfig(5))
+		ticks := map[string]int{}
+		s.Engine().SetTracer(func(ev des.Event) { ticks[ev.Name]++ })
+		if err := s.Engine().RunUntil(des.Seconds(2)); err != nil {
+			t.Fatal(err)
+		}
+		for event, topic := range sensorEvents {
+			if n := s.Graph().Topic(topic).Published(); n != 0 {
+				t.Errorf("%s published %d messages with no subscriber", topic, n)
+			}
+			if ticks[event] == 0 {
+				t.Errorf("%s never fired", event)
+			}
+		}
 	})
 
-	if err := s.Engine().RunUntil(des.Seconds(2)); err != nil {
-		t.Fatal(err)
-	}
-	if depthSeen == 0 || rgbSeen == 0 || gpsSeen == 0 || imuSeen == 0 {
-		t.Errorf("sensor publications missing: depth=%d rgb=%d gps=%d imu=%d", depthSeen, rgbSeen, gpsSeen, imuSeen)
-	}
-	if imuSeen <= gpsSeen {
-		t.Error("IMU should publish faster than GPS")
-	}
+	// A node that subscribes mid-run receives from the sensor's next tick on,
+	// and nothing was rendered for the ticks before it.
+	t.Run("mid-run", func(t *testing.T) {
+		s := emptyWorldSim(t, DefaultConfig(5))
+		subscribed := false
+		nextTick := map[string]float64{}
+		s.Engine().SetTracer(func(ev des.Event) {
+			if _, ok := sensorEvents[ev.Name]; ok && subscribed {
+				if _, seen := nextTick[ev.Name]; !seen {
+					nextTick[ev.Name] = ev.At.Seconds()
+				}
+			}
+		})
+		stamps := map[string][]float64{}
+		s.Engine().ScheduleAt(des.Seconds(1), "test/subscribe", func(*des.Engine) {
+			for _, topic := range sensorEvents {
+				s.Graph().Node("late").Subscribe(topic, 4, func(now time.Duration, msg ros.Message) ros.CallbackResult {
+					stamps[topic] = append(stamps[topic], stamp(t, msg))
+					return ros.CallbackResult{}
+				})
+			}
+			subscribed = true
+		})
+		if err := s.Engine().RunUntil(des.Seconds(2)); err != nil {
+			t.Fatal(err)
+		}
+		for event, topic := range sensorEvents {
+			got := stamps[topic]
+			if len(got) == 0 {
+				t.Errorf("%s: late subscriber received nothing", topic)
+				continue
+			}
+			if got[0] != nextTick[event] {
+				t.Errorf("%s: first message stamped %v s, want the next tick at %v s", topic, got[0], nextTick[event])
+			}
+			if n := s.Graph().Topic(topic).Published(); n != uint64(len(got)) {
+				t.Errorf("%s published %d messages, the late subscriber received %d", topic, n, len(got))
+			}
+		}
+	})
 }
 
 func TestCollisionAbortsMission(t *testing.T) {

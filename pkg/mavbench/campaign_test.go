@@ -3,7 +3,6 @@ package mavbench
 import (
 	"context"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,16 +16,21 @@ import (
 
 // testWorkload is a fast fake workload: one simulated second, then success.
 // gate (when non-nil) blocks world construction until the channel is closed,
-// letting tests hold a run mid-flight; runs counts world constructions.
+// letting tests hold a run mid-flight; entered (when non-nil) receives a value
+// as each world construction starts; runs counts world constructions.
 type testWorkload struct {
-	name string
-	gate chan struct{}
-	runs atomic.Int64
+	name    string
+	gate    chan struct{}
+	entered chan struct{}
+	runs    atomic.Int64
 }
 
 func (w *testWorkload) Name() string        { return w.name }
 func (w *testWorkload) Description() string { return "fake workload for public API tests" }
 func (w *testWorkload) World(p core.Params) (*env.World, geom.Vec3, error) {
+	if w.entered != nil {
+		w.entered <- struct{}{}
+	}
 	if w.gate != nil {
 		<-w.gate
 	}
@@ -44,10 +48,6 @@ func (w *testWorkload) Setup(s *sim.Simulator, p core.Params) error {
 type panicWorkload struct{ testWorkload }
 
 func (w *panicWorkload) Setup(*sim.Simulator, core.Params) error { panic("wired backwards") }
-
-// registerPanicWorkloads registers the panic test's workloads once per
-// process, so the test also passes under -count.
-var registerPanicWorkloads sync.Once
 
 func mustSpec(t *testing.T, workload string, opts ...Option) Spec {
 	t.Helper()
@@ -80,13 +80,14 @@ func recvResult(t *testing.T, ch <-chan Result, what string) Result {
 func TestCampaignStreamsIncrementally(t *testing.T) {
 	fast := &testWorkload{name: "api_stream_fast"}
 	slow := &testWorkload{name: "api_stream_slow", gate: make(chan struct{})}
-	core.Register(fast)
-	core.Register(slow)
+	core.RegisterFor(t, fast, slow)
 
+	// One worker: run 0 completes first, run 1 blocks on the gate. No world
+	// cache, so no world cached by an earlier run of this test bypasses it.
 	campaign := NewCampaign(
 		mustSpec(t, fast.name, WithSeed(1), WithMaxMissionTime(30)),
 		mustSpec(t, slow.name, WithSeed(2), WithMaxMissionTime(30)),
-	).SetWorkers(1) // one worker: run 0 completes first, run 1 blocks on the gate
+	).SetWorkers(1).SetWorldCache(nil)
 
 	ch := campaign.Stream(context.Background())
 	first := recvResult(t, ch, "the first result (while run 1 is still gated)")
@@ -108,7 +109,7 @@ func TestCampaignStreamsIncrementally(t *testing.T) {
 
 func TestCampaignCacheServesRepeatedSpecs(t *testing.T) {
 	wl := &testWorkload{name: "api_cache_workload"}
-	core.Register(wl)
+	core.RegisterFor(t, wl)
 	spec := mustSpec(t, wl.name, WithSeed(5), WithMaxMissionTime(30))
 	cache := NewMemoryCache()
 
@@ -163,7 +164,7 @@ func TestBoundedMemoryCacheEviction(t *testing.T) {
 
 func TestCollectOrderAndErrorAttribution(t *testing.T) {
 	wl := &testWorkload{name: "api_collect_workload"}
-	core.Register(wl)
+	core.RegisterFor(t, wl)
 	good := mustSpec(t, wl.name, WithSeed(9), WithMaxMissionTime(30))
 	bad := Spec{Workload: "no_such_workload"} // hand-assembled, skips NewSpec validation
 
@@ -184,7 +185,7 @@ func TestCollectOrderAndErrorAttribution(t *testing.T) {
 
 func TestCampaignCancellation(t *testing.T) {
 	wl := &testWorkload{name: "api_cancel_workload"}
-	core.Register(wl)
+	core.RegisterFor(t, wl)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before any run starts
 
@@ -207,7 +208,7 @@ func TestCampaignCancellation(t *testing.T) {
 
 func TestRunConvenience(t *testing.T) {
 	wl := &testWorkload{name: "api_run_workload"}
-	core.Register(wl)
+	core.RegisterFor(t, wl)
 	res, err := Run(context.Background(), mustSpec(t, wl.name, WithSeed(3), WithMaxMissionTime(30)))
 	if err != nil {
 		t.Fatal(err)
@@ -223,9 +224,9 @@ func TestRunConvenience(t *testing.T) {
 // Collect-style consumers, and the stream must close promptly.
 func TestCampaignCancellationMidStream(t *testing.T) {
 	fast := &testWorkload{name: "api_midcancel_fast"}
-	gated := &testWorkload{name: "api_midcancel_gated", gate: make(chan struct{})}
-	core.Register(fast)
-	core.Register(gated)
+	// entered has a slot per gated spec, so World never blocks on it.
+	gated := &testWorkload{name: "api_midcancel_gated", gate: make(chan struct{}), entered: make(chan struct{}, 2)}
+	core.RegisterFor(t, fast, gated)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -234,15 +235,17 @@ func TestCampaignCancellationMidStream(t *testing.T) {
 		mustSpec(t, gated.name, WithSeed(2), WithMaxMissionTime(30)),
 		mustSpec(t, gated.name, WithSeed(3), WithMaxMissionTime(30)),
 	}
-	ch := NewCampaign(specs...).SetWorkers(1).Stream(ctx)
+	// No world cache, as above.
+	ch := NewCampaign(specs...).SetWorkers(1).SetWorldCache(nil).Stream(ctx)
 
 	first := recvResult(t, ch, "the fast run's result")
 	if first.Index != 0 || !first.OK() {
 		t.Fatalf("first streamed result = %+v", first)
 	}
-	// Run 1 is now blocked inside world construction. Cancel the campaign,
-	// then release the gate: the started run completes and streams; run 2
-	// must never start.
+	// Wait until run 1 is blocked inside world construction. Cancel the
+	// campaign, then release the gate: the started run completes and
+	// streams; run 2 must never start.
+	<-gated.entered
 	cancel()
 	close(gated.gate)
 
@@ -262,10 +265,7 @@ func TestCampaignCancellationMidStream(t *testing.T) {
 // between two healthy specs: the panic becomes that spec's failed Result,
 // its neighbours still succeed, and Collect's joined error names it.
 func TestCampaignRecoversSetupPanic(t *testing.T) {
-	registerPanicWorkloads.Do(func() {
-		core.Register(&testWorkload{name: "api_panic_healthy"})
-		core.Register(&panicWorkload{testWorkload{name: "api_panic_setup"}})
-	})
+	core.RegisterFor(t, &testWorkload{name: "api_panic_healthy"}, &panicWorkload{testWorkload{name: "api_panic_setup"}})
 	results, err := NewCampaign(
 		mustSpec(t, "api_panic_healthy", WithSeed(1), WithMaxMissionTime(30)),
 		mustSpec(t, "api_panic_setup", WithSeed(1), WithMaxMissionTime(30)),

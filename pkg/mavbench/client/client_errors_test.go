@@ -40,7 +40,10 @@ func (w *gatedWorkload) Setup(s *sim.Simulator, p core.Params) error {
 
 func startTenantedService(t *testing.T, tenants []server.TenantConfig) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(server.New(server.Config{Workers: 1, Tenants: tenants}).Handler())
+	// A world cache of its own, so no world cached by an earlier test (or an
+	// earlier run of this one) lets a gated run skip its gate in World.
+	cfg := server.Config{Workers: 1, Tenants: tenants, WorldCache: mavbench.NewWorldCache()}
+	ts := httptest.NewServer(server.New(cfg).Handler())
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -49,7 +52,7 @@ func startTenantedService(t *testing.T, tenants []server.TenantConfig) *httptest
 // wrong-keyed client gets a typed *APIError with the machine-readable code,
 // and the right key flows through to an ack that names the tenant.
 func TestClientAuthErrors(t *testing.T) {
-	core.Register(&clientWorkload{name: "client_auth"})
+	core.RegisterFor(t, &clientWorkload{name: "client_auth"})
 	ts := startTenantedService(t, []server.TenantConfig{
 		{Name: "acme", APIKey: "key-acme", MaxPriority: 4},
 	})
@@ -90,7 +93,7 @@ func TestClientAuthErrors(t *testing.T) {
 // quota and asserts the second submission surfaces 429 quota_exceeded.
 func TestClientQuotaExceeded(t *testing.T) {
 	gated := &gatedWorkload{name: "client_quota", gate: make(chan struct{})}
-	core.Register(gated)
+	core.RegisterFor(t, gated)
 	t.Cleanup(func() { close(gated.gate) })
 	ts := startTenantedService(t, []server.TenantConfig{
 		{Name: "small", APIKey: "key-small", MaxActiveCampaigns: 1},
@@ -121,7 +124,7 @@ func TestClientQuotaExceeded(t *testing.T) {
 // TestClientRateLimited pins retry-after plumbing: the typed body field and
 // the Retry-After header both surface as APIError.RetryAfter.
 func TestClientRateLimited(t *testing.T) {
-	core.Register(&clientWorkload{name: "client_rate"})
+	core.RegisterFor(t, &clientWorkload{name: "client_rate"})
 	ts := startTenantedService(t, []server.TenantConfig{
 		{Name: "slow", APIKey: "key-slow", RatePerSec: 0.01, Burst: 1},
 	})

@@ -40,7 +40,7 @@ func startService(t *testing.T) *client.Client {
 }
 
 func TestClientRunCollectsInSubmissionOrder(t *testing.T) {
-	core.Register(&clientWorkload{name: "client_run"})
+	core.RegisterFor(t, &clientWorkload{name: "client_run"})
 	cl := startService(t)
 	specs := []mavbench.Spec{
 		{Workload: "client_run", Seed: 3, MaxMissionTimeS: 30},
@@ -71,7 +71,7 @@ func TestClientRunCollectsInSubmissionOrder(t *testing.T) {
 }
 
 func TestClientRunStreamDeliversEveryResult(t *testing.T) {
-	core.Register(&clientWorkload{name: "client_stream"})
+	core.RegisterFor(t, &clientWorkload{name: "client_stream"})
 	cl := startService(t)
 	specs := []mavbench.Spec{
 		{Workload: "client_stream", Seed: 1, MaxMissionTimeS: 30},
@@ -112,7 +112,7 @@ func TestClientSurfacesAPIErrors(t *testing.T) {
 }
 
 func TestClientRunBatch(t *testing.T) {
-	core.Register(&clientWorkload{name: "client_batch"})
+	core.RegisterFor(t, &clientWorkload{name: "client_batch"})
 	cl := startService(t)
 	var got []mavbench.Result
 	err := cl.RunBatch(context.Background(), []mavbench.Spec{

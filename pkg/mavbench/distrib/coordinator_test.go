@@ -22,9 +22,9 @@ import (
 )
 
 // distribWorkloadSeq makes registered workload names unique per test run so
-// the package survives -count=N (the registry panics on duplicate names and
-// persists across runs in one process), and so each run gets fresh gate
-// channels and call counters.
+// the package survives -count=N: the process-wide world cache keys worlds by
+// workload name, and a world an earlier run left there would bypass this
+// run's gate channels and call counters.
 var distribWorkloadSeq atomic.Int64
 
 func uniqueDistribWorkload(prefix string) string {
@@ -94,7 +94,7 @@ func marshalNormalized(t *testing.T, results []mavbench.Result) []string {
 // local engine, in the same (submission) order.
 func TestFleetVsLocalEquivalence(t *testing.T) {
 	wl := &fleetWorkload{name: uniqueDistribWorkload("distrib_equiv")}
-	core.Register(wl)
+	core.RegisterFor(t, wl)
 	specs := specsFor(wl.name, 5)
 	specs = append(specs, specs[2]) // repeated spec: one dispatch, two results
 
@@ -142,7 +142,7 @@ func TestFleetVsLocalEquivalence(t *testing.T) {
 // worker — the fleet's central failure-semantics pin.
 func TestCoordinatorRequeuesOnWorkerDeath(t *testing.T) {
 	wl := &fleetWorkload{name: uniqueDistribWorkload("distrib_requeue"), gateOnce: make(chan struct{})}
-	core.Register(wl)
+	core.RegisterFor(t, wl)
 
 	// Each worker gets its own world cache, as separate worker processes
 	// would. Sharing the process-wide default, the survivor would wait on
@@ -244,7 +244,7 @@ func TestCoordinatorRequeuesOnWorkerDeath(t *testing.T) {
 // simulations anywhere.
 func TestCoordinatorServesRepeatsFromSharedStore(t *testing.T) {
 	wl := &fleetWorkload{name: uniqueDistribWorkload("distrib_store")}
-	core.Register(wl)
+	core.RegisterFor(t, wl)
 
 	store, err := mavbench.NewDiskStore(t.TempDir())
 	if err != nil {
@@ -295,7 +295,7 @@ func TestCoordinatorServesRepeatsFromSharedStore(t *testing.T) {
 // must requeue its batch onto the real worker.
 func TestCoordinatorTimesOutStalledWorker(t *testing.T) {
 	stallWl := &fleetWorkload{name: uniqueDistribWorkload("distrib_stall")}
-	core.Register(stallWl)
+	core.RegisterFor(t, stallWl)
 
 	hung := make(chan struct{})
 	t.Cleanup(func() { close(hung) })
@@ -338,7 +338,7 @@ func TestCoordinatorTimesOutStalledWorker(t *testing.T) {
 // remaining specs on the in-process engine instead of failing them.
 func TestCoordinatorFallsBackToLocalExecution(t *testing.T) {
 	wl := &fleetWorkload{name: uniqueDistribWorkload("distrib_fallback")}
-	core.Register(wl)
+	core.RegisterFor(t, wl)
 	co := &distrib.Coordinator{
 		Fleet:         distrib.NewFleet(distrib.Config{}),
 		Config:        distrib.Config{WaitForWorkers: -1},
@@ -363,7 +363,7 @@ func TestCoordinatorFallsBackToLocalExecution(t *testing.T) {
 // that says what happened.
 func TestCoordinatorFailsFastWithNoWorkers(t *testing.T) {
 	noWl := &fleetWorkload{name: uniqueDistribWorkload("distrib_noworkers")}
-	core.Register(noWl)
+	core.RegisterFor(t, noWl)
 	co := &distrib.Coordinator{Fleet: distrib.NewFleet(distrib.Config{}), Config: distrib.Config{WaitForWorkers: -1}}
 	results, err := co.Collect(context.Background(), specsFor(noWl.name, 2))
 	if err == nil {

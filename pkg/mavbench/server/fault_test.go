@@ -24,8 +24,9 @@ import (
 )
 
 // workloadSeq makes registered workload names unique per test run, so the
-// fault/tenancy suites survive -count=N (the registry panics on duplicates
-// and persists across runs in one process).
+// fault/tenancy suites survive -count=N: the process-wide world cache keys
+// worlds by workload name, and a world an earlier run left there would let
+// this run's gated workload skip its gate.
 var workloadSeq atomic.Int64
 
 func uniqueWorkload(prefix string) string {
@@ -191,7 +192,7 @@ func normalizedLines(t *testing.T, results []mavbench.Result) []string {
 // campaigns so each fault mode actually fires.
 func TestCampaignSurvivesFlakyWorker(t *testing.T) {
 	flakyName := uniqueWorkload("svc_fault_flaky")
-	core.Register(&faultWorkload{name: flakyName})
+	core.RegisterFor(t, &faultWorkload{name: flakyName})
 
 	healthy := newTestServer(t, Config{Workers: 1})
 	flakyInner := newTestServer(t, Config{Workers: 1})
@@ -277,8 +278,7 @@ func TestCampaignSurvivesFlakyWorker(t *testing.T) {
 func TestCoordinatorKillRestartResumesCampaign(t *testing.T) {
 	gated := &faultWorkload{name: uniqueWorkload("svc_fault_crash"), gate: make(chan struct{})}
 	fast := &faultWorkload{name: uniqueWorkload("svc_fault_crash_fast")}
-	core.Register(gated)
-	core.Register(fast)
+	core.RegisterFor(t, gated, fast)
 
 	dir := t.TempDir()
 	store := mavbench.NewBoundedMemoryCache(256)
@@ -362,7 +362,7 @@ func TestCoordinatorKillRestartResumesCampaign(t *testing.T) {
 // queueing forever.
 func TestDrainDuringDispatch(t *testing.T) {
 	wl := &faultWorkload{name: uniqueWorkload("svc_fault_drain"), started: make(chan struct{}), gate: make(chan struct{})}
-	core.Register(wl)
+	core.RegisterFor(t, wl)
 
 	worker := newTestServer(t, Config{Workers: 1})
 	coordSrv := New(Config{Workers: 1})

@@ -46,7 +46,7 @@ func queryJSON(t *testing.T, url string, out any) int {
 // range, projects report metrics into flat rows, and rejects bad parameters.
 func TestQueryResultsEndToEnd(t *testing.T) {
 	wlName := uniqueWorkload("svc_query")
-	core.Register(&serviceWorkload{name: wlName})
+	core.RegisterFor(t, &serviceWorkload{name: wlName})
 	store, err := resultdb.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestQueryResultsRequiresQueryableStore(t *testing.T) {
 // two hits, and the segment store's gauges reflect its stats.
 func TestWorldCacheAndStoreMetrics(t *testing.T) {
 	wlName := uniqueWorkload("svc_wc_metrics")
-	core.Register(&serviceWorkload{name: wlName})
+	core.RegisterFor(t, &serviceWorkload{name: wlName})
 	store, err := resultdb.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +217,7 @@ func TestWorldCacheAndStoreMetrics(t *testing.T) {
 // builds its world, and the counters stay zero.
 func TestWorldCacheDisabled(t *testing.T) {
 	wlName := uniqueWorkload("svc_wc_off")
-	core.Register(&serviceWorkload{name: wlName})
+	core.RegisterFor(t, &serviceWorkload{name: wlName})
 	srv := New(Config{Workers: 1, DisableWorldCache: true})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)

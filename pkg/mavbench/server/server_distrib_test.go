@@ -18,7 +18,7 @@ import (
 // invalid specs surfacing as failed results (not request rejections), exactly
 // as the local engine reports them.
 func TestRunEndpointStreamsBatchResults(t *testing.T) {
-	core.Register(&serviceWorkload{name: "svc_run_batch"})
+	core.RegisterFor(t, &serviceWorkload{name: "svc_run_batch"})
 	ts := newTestServer(t, Config{Workers: 2})
 
 	resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(`{"specs": [
@@ -263,7 +263,7 @@ func TestFleetTokenGuardsWorkerRegistry(t *testing.T) {
 // streams back merged results identical to a local run, and both workers
 // participate.
 func TestSubmittedCampaignShardsAcrossFleet(t *testing.T) {
-	core.Register(&serviceWorkload{name: "svc_fleet_shard"})
+	core.RegisterFor(t, &serviceWorkload{name: "svc_fleet_shard"})
 
 	worker1 := newTestServer(t, Config{Workers: 1})
 	worker2 := newTestServer(t, Config{Workers: 1})

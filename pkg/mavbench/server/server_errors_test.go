@@ -52,7 +52,7 @@ func collectResults(t *testing.T, baseURL, id string) []mavbench.Result {
 // a one-entry FIFO cache serves an immediately repeated spec from cache, and
 // re-simulates a spec whose entry was evicted by newer traffic.
 func TestServerCacheEvictionUnderFIFOPressure(t *testing.T) {
-	core.Register(&serviceWorkload{name: "svc_fifo_workload"})
+	core.RegisterFor(t, &serviceWorkload{name: "svc_fifo_workload"})
 	ts := newTestServer(t, Config{Workers: 1, Store: mavbench.NewBoundedMemoryCache(1)})
 
 	run := func(seed int) mavbench.Result {
@@ -92,9 +92,9 @@ func TestServerCacheEvictionUnderFIFOPressure(t *testing.T) {
 func TestResultsStreamStopsOnClientDisconnect(t *testing.T) {
 	fast := &serviceWorkload{name: "svc_disconnect_fast"}
 	gated := &serviceWorkload{name: "svc_disconnect_gated", gate: make(chan struct{})}
-	core.Register(fast)
-	core.Register(gated)
-	ts := newTestServer(t, Config{Workers: 1})
+	core.RegisterFor(t, fast, gated)
+	// A world cache of its own, as in TestResultsStreamIncrementally.
+	ts := newTestServer(t, Config{Workers: 1, WorldCache: mavbench.NewWorldCache()})
 
 	ack := submit(t, ts, `{"specs": [
 		{"workload": "svc_disconnect_fast", "seed": 1, "max_mission_time_s": 30},

@@ -42,7 +42,7 @@ func (f *flushRecorder) Flush() {
 // NDJSON record — including the last batch written just before the done check
 // — must already have been flushed to the client.
 func TestResultsStreamFlushesFinalRecordsBeforeReturn(t *testing.T) {
-	core.Register(&serviceWorkload{name: "svc_flush_done"})
+	core.RegisterFor(t, &serviceWorkload{name: "svc_flush_done"})
 	srv := New(Config{Workers: 1})
 	handler := srv.Handler()
 
@@ -103,7 +103,7 @@ func TestResultsStreamFlushesFinalRecordsBeforeReturn(t *testing.T) {
 // TestRunBatchFlushesBeforeReturn pins the same contract for the worker-side
 // POST /v1/run batch endpoint.
 func TestRunBatchFlushesBeforeReturn(t *testing.T) {
-	core.Register(&serviceWorkload{name: "svc_flush_run"})
+	core.RegisterFor(t, &serviceWorkload{name: "svc_flush_run"})
 	srv := New(Config{Workers: 1})
 	handler := srv.Handler()
 

@@ -38,7 +38,7 @@ func scrape(t *testing.T, ts *httptest.Server) string {
 // and store hit/miss counters — in deterministic Prometheus text format.
 func TestMetricsEndpoint(t *testing.T) {
 	wlName := uniqueWorkload("svc_metrics")
-	core.Register(&serviceWorkload{name: wlName})
+	core.RegisterFor(t, &serviceWorkload{name: wlName})
 	srv := New(Config{Workers: 2, Tenants: []TenantConfig{
 		{Name: "obs", APIKey: "key-o", MaxActiveCampaigns: 4},
 	}})
@@ -102,7 +102,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // gated campaign holds queue depth and active count up until it completes.
 func TestMetricsQueueDepthTracksBacklog(t *testing.T) {
 	gated := &serviceWorkload{name: uniqueWorkload("svc_metrics_gate"), gate: make(chan struct{})}
-	core.Register(gated)
+	core.RegisterFor(t, gated)
 	srv := New(Config{Workers: 1, Tenants: []TenantConfig{
 		{Name: "depth", APIKey: "key-d"},
 	}})

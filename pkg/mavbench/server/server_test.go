@@ -71,7 +71,7 @@ func submit(t *testing.T, ts *httptest.Server, body string) submitResponse {
 // campaign over HTTP, stream its results back as NDJSON, and resolve the
 // spec's content address.
 func TestSubmitAndStreamEndToEnd(t *testing.T) {
-	core.Register(&serviceWorkload{name: "svc_e2e_workload"})
+	core.RegisterFor(t, &serviceWorkload{name: "svc_e2e_workload"})
 	ts := startServer(t)
 
 	ack := submit(t, ts, `{"specs": [
@@ -133,9 +133,10 @@ func TestSubmitAndStreamEndToEnd(t *testing.T) {
 // the campaign's second run is still blocked mid-flight.
 func TestResultsStreamIncrementally(t *testing.T) {
 	gate := make(chan struct{})
-	core.Register(&serviceWorkload{name: "svc_stream_fast"})
-	core.Register(&serviceWorkload{name: "svc_stream_slow", gate: gate})
-	ts := httptest.NewServer(New(Config{Workers: 1}).Handler())
+	core.RegisterFor(t, &serviceWorkload{name: "svc_stream_fast"}, &serviceWorkload{name: "svc_stream_slow", gate: gate})
+	// A world cache of its own: a world cached by an earlier run of this test
+	// would let the gated run skip its gate.
+	ts := httptest.NewServer(New(Config{Workers: 1, WorldCache: mavbench.NewWorldCache()}).Handler())
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() {
 		select {
@@ -234,7 +235,7 @@ func TestNotFoundResponses(t *testing.T) {
 // its unshared spec index entries are dropped once MaxCampaigns is
 // exceeded, while shared specs survive as long as a retaining campaign does.
 func TestCampaignEviction(t *testing.T) {
-	core.Register(&serviceWorkload{name: "svc_evict_workload"})
+	core.RegisterFor(t, &serviceWorkload{name: "svc_evict_workload"})
 	ts := httptest.NewServer(New(Config{Workers: 2, MaxCampaigns: 2}).Handler())
 	t.Cleanup(ts.Close)
 

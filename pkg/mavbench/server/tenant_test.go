@@ -70,7 +70,7 @@ func specBody(workload string, seeds ...int) string {
 // and accepts the configured key (echoing the tenant in the ack).
 func TestTenantAuthenticationRequired(t *testing.T) {
 	wlName := uniqueWorkload("svc_tenant_auth")
-	core.Register(&serviceWorkload{name: wlName})
+	core.RegisterFor(t, &serviceWorkload{name: wlName})
 	ts := newTestServer(t, Config{Workers: 2, Tenants: twoTenants()})
 
 	missing := submitAs(t, ts, "", specBody(wlName, 1))
@@ -111,7 +111,7 @@ func TestTenantAuthenticationRequired(t *testing.T) {
 // campaign frees its slot.
 func TestTenantConcurrencyQuota(t *testing.T) {
 	gated := &serviceWorkload{name: uniqueWorkload("svc_tenant_quota"), gate: make(chan struct{})}
-	core.Register(gated)
+	core.RegisterFor(t, gated)
 	ts := newTestServer(t, Config{Workers: 1, Tenants: twoTenants()})
 
 	first := submitAs(t, ts, "key-b", specBody(gated.name, 1))
@@ -149,7 +149,7 @@ func TestTenantConcurrencyQuota(t *testing.T) {
 // across a tenant's campaigns cannot exceed max_queued_specs.
 func TestTenantBacklogQuota(t *testing.T) {
 	gated := &serviceWorkload{name: uniqueWorkload("svc_tenant_backlog"), gate: make(chan struct{})}
-	core.Register(gated)
+	core.RegisterFor(t, gated)
 	t.Cleanup(func() { close(gated.gate) })
 	ts := newTestServer(t, Config{Workers: 1, Tenants: twoTenants()})
 
@@ -183,7 +183,7 @@ func TestTenantBacklogQuota(t *testing.T) {
 // admission lock.
 func TestTenantQuotaUnderConcurrentSubmission(t *testing.T) {
 	gated := &serviceWorkload{name: uniqueWorkload("svc_tenant_race"), gate: make(chan struct{})}
-	core.Register(gated)
+	core.RegisterFor(t, gated)
 	t.Cleanup(func() { close(gated.gate) })
 	roster := []TenantConfig{{Name: "racer", APIKey: "key-r", MaxActiveCampaigns: 3}}
 	ts := newTestServer(t, Config{Workers: 1, Tenants: roster})
@@ -222,7 +222,7 @@ func TestTenantQuotaUnderConcurrentSubmission(t *testing.T) {
 // admits the burst, then rejects with retry_after_s and a Retry-After header.
 func TestTenantRateLimit(t *testing.T) {
 	wlName := uniqueWorkload("svc_tenant_rate")
-	core.Register(&serviceWorkload{name: wlName})
+	core.RegisterFor(t, &serviceWorkload{name: wlName})
 	roster := []TenantConfig{{Name: "slow", APIKey: "key-s", RatePerSec: 0.1, Burst: 2}}
 	ts := newTestServer(t, Config{Workers: 2, Tenants: roster})
 
@@ -252,7 +252,7 @@ func TestTenantRateLimit(t *testing.T) {
 // more priority than its max_priority gets the clamped value back.
 func TestTenantPriorityClamped(t *testing.T) {
 	wlName := uniqueWorkload("svc_tenant_prio")
-	core.Register(&serviceWorkload{name: wlName})
+	core.RegisterFor(t, &serviceWorkload{name: wlName})
 	ts := newTestServer(t, Config{Workers: 2, Tenants: twoTenants()})
 
 	body := fmt.Sprintf(`{"specs": [{"workload": %q, "seed": 1, "max_mission_time_s": 30}], "priority": 9}`, wlName)

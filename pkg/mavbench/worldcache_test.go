@@ -63,7 +63,7 @@ func TestWorldCacheBitIdenticalToCold(t *testing.T) {
 // cache-disabled sweep once per run.
 func TestWorldCacheBuildsWorldOnce(t *testing.T) {
 	wl := &testWorkload{name: "api_worldcache_once"}
-	core.Register(wl)
+	core.RegisterFor(t, wl)
 	points := PaperOperatingPoints()
 	var specs []Spec
 	for _, pt := range []OperatingPoint{points[0], points[4], points[8]} {
