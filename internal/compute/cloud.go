@@ -2,6 +2,7 @@ package compute
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -31,13 +32,13 @@ func LTE() CloudLink {
 
 // Validate reports whether the link parameters are usable.
 func (l CloudLink) Validate() error {
-	if l.BandwidthMbps <= 0 {
-		return fmt.Errorf("compute: cloud link %q has non-positive bandwidth", l.Name)
+	if !(l.BandwidthMbps > 0) || math.IsInf(l.BandwidthMbps, 1) {
+		return fmt.Errorf("compute: cloud link %q has bandwidth %v Mb/s, want a finite value > 0", l.Name, l.BandwidthMbps)
 	}
 	if l.RTT < 0 {
 		return fmt.Errorf("compute: cloud link %q has negative RTT", l.Name)
 	}
-	if l.DropProbability < 0 || l.DropProbability >= 1 {
+	if !(l.DropProbability >= 0 && l.DropProbability < 1) {
 		return fmt.Errorf("compute: cloud link %q has invalid drop probability %v", l.Name, l.DropProbability)
 	}
 	return nil

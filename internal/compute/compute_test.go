@@ -347,6 +347,15 @@ func TestCloudLinkValidate(t *testing.T) {
 	if err := (CloudLink{BandwidthMbps: 10, DropProbability: 1}).Validate(); err == nil {
 		t.Error("expected error for drop probability of 1")
 	}
+	for _, l := range []CloudLink{
+		{BandwidthMbps: math.NaN()},
+		{BandwidthMbps: math.Inf(1)},
+		{BandwidthMbps: 10, DropProbability: math.NaN()},
+	} {
+		if err := l.Validate(); err == nil {
+			t.Errorf("expected error for non-finite link %+v", l)
+		}
+	}
 }
 
 func TestCloudLinkRoundTripWithDrops(t *testing.T) {

@@ -179,7 +179,7 @@ func (p Params) Validate() error {
 				p.Scenario, p.Environment)
 		}
 	}
-	if p.Difficulty < env.MinDifficulty || p.Difficulty > env.MaxDifficulty {
+	if !(p.Difficulty >= env.MinDifficulty && p.Difficulty <= env.MaxDifficulty) { // NaN fails too
 		return fmt.Errorf("core: difficulty = %g out of range [%g, %g] (0 = scenario default)",
 			p.Difficulty, env.MinDifficulty, env.MaxDifficulty)
 	}
@@ -211,7 +211,7 @@ const maxKnob = 8.0
 // validateKnob checks one scenario knob multiplier (0 = unset, use the
 // graded value).
 func validateKnob(name string, v float64) error {
-	if v < 0 || v > maxKnob {
+	if !(v >= 0 && v <= maxKnob) { // NaN fails too
 		return fmt.Errorf("core: scenario knob %s = %g out of range [0, %g] (0 = graded default)", name, v, maxKnob)
 	}
 	return nil

@@ -11,19 +11,31 @@
 // updates — is an event on a single timeline. Compute cost is charged in
 // virtual time on a core-limited executor (see package ros), so core-count
 // and clock-frequency scaling studies are exact and runs are reproducible.
+//
+// Ordering contract: events fire in increasing (time, priority, scheduling
+// order). One-shot events have priority 0; a ticker made by EveryPriority
+// has its own. Every Schedule call and every ticker re-arm takes the next
+// scheduling sequence number, so events at the same instant and priority
+// fire in the order they were scheduled. A ticker is re-armed after its
+// callback returns, so the events that callback schedules precede its next
+// firing at equal time and priority.
+//
+// Ownership: each Ticker owns one Event, bound to its callback once and
+// re-armed in place after every firing, so steady-state ticking allocates
+// nothing. An Event returned by Schedule or ScheduleAt belongs to its caller,
+// who may keep it and Cancel it at any time; the engine never reuses it.
 package des
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
 	"time"
 )
 
-// Event is a scheduled callback. The callback runs exactly once at its
-// scheduled virtual time, receiving the engine so it may schedule follow-up
-// events.
+// Event is a scheduled callback. It runs at its scheduled virtual time,
+// receiving the engine so it may schedule follow-up events: once for an event
+// from Schedule, and once per period for a ticker's event.
 type Event struct {
 	At       time.Duration // virtual time at which the event fires
 	Name     string        // label for tracing/debugging
@@ -31,7 +43,6 @@ type Event struct {
 
 	priority int // tie-break: lower fires first at equal time
 	seq      uint64
-	index    int
 	canceled bool
 }
 
@@ -42,36 +53,62 @@ func (e *Event) Cancel() { e.canceled = true }
 // Canceled reports whether the event was canceled before firing.
 func (e *Event) Canceled() bool { return e.canceled }
 
+// before reports whether e fires before o: earlier time, then lower
+// priority, then earlier scheduling.
+func (e *Event) before(o *Event) bool {
+	if e.At != o.At {
+		return e.At < o.At
+	}
+	if e.priority != o.priority {
+		return e.priority < o.priority
+	}
+	return e.seq < o.seq
+}
+
+// eventQueue is a binary min-heap of events under Event.before.
 type eventQueue []*Event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].At != q[j].At {
-		return q[i].At < q[j].At
+func (q *eventQueue) push(ev *Event) {
+	h := append(*q, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
-	if q[i].priority != q[j].priority {
-		return q[i].priority < q[j].priority
+	h[i] = ev
+	*q = h
+}
+
+// pop removes the first event, q[0].
+func (q *eventQueue) pop() {
+	h := *q
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			child := 2*i + 1
+			if child >= n {
+				break
+			}
+			if r := child + 1; r < n && h[r].before(h[child]) {
+				child = r
+			}
+			if !h[child].before(last) {
+				break
+			}
+			h[i] = h[child]
+			i = child
+		}
+		h[i] = last
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+	*q = h
 }
 
 // ErrStopped is returned by Run when the simulation was stopped explicitly
@@ -96,11 +133,7 @@ type Engine struct {
 }
 
 // NewEngine returns an empty engine with the clock at zero.
-func NewEngine() *Engine {
-	e := &Engine{}
-	heap.Init(&e.queue)
-	return e
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
@@ -132,74 +165,70 @@ func (e *Engine) Schedule(delay time.Duration, name string, callback func(*Engin
 // ScheduleAt registers callback to run at absolute virtual time at. Times in
 // the past are clamped to the present.
 func (e *Engine) ScheduleAt(at time.Duration, name string, callback func(*Engine)) *Event {
-	return e.scheduleAt(at, 0, name, callback)
-}
-
-// SchedulePriority is ScheduleAt with an explicit tie-break priority: among
-// events with identical timestamps, lower priorities fire first. The physics
-// stepper uses a negative priority so that the world state is always updated
-// before same-instant sensor or compute events observe it.
-func (e *Engine) SchedulePriority(at time.Duration, priority int, name string, callback func(*Engine)) *Event {
-	return e.scheduleAt(at, priority, name, callback)
-}
-
-func (e *Engine) scheduleAt(at time.Duration, priority int, name string, callback func(*Engine)) *Event {
 	if callback == nil {
 		panic("des: Schedule with nil callback")
 	}
+	ev := &Event{Name: name, Callback: callback}
+	e.arm(ev, at)
+	return ev
+}
+
+// arm queues ev at time at (clamped to the present) with the next scheduling
+// sequence number.
+func (e *Engine) arm(ev *Event, at time.Duration) {
 	if at < e.now {
 		at = e.now
 	}
-	ev := &Event{At: at, Name: name, Callback: callback, priority: priority, seq: e.seq}
+	ev.At = at
+	ev.seq = e.seq
 	e.seq++
-	heap.Push(&e.queue, ev)
-	return ev
+	e.queue.push(ev)
 }
 
 // Every schedules callback to run periodically with the given period,
 // starting one period from now, until the returned ticker is stopped or the
 // engine stops. A period <= 0 panics.
 func (e *Engine) Every(period time.Duration, name string, callback func(*Engine)) *Ticker {
+	return e.EveryPriority(period, 0, name, callback)
+}
+
+// EveryPriority is Every with an explicit tie-break priority: among events
+// with identical timestamps, lower priorities fire first. The physics stepper
+// ticks at a negative priority so that the world state is always updated
+// before same-instant sensor or compute events observe it.
+func (e *Engine) EveryPriority(period time.Duration, priority int, name string, callback func(*Engine)) *Ticker {
 	if period <= 0 {
 		panic(fmt.Sprintf("des: Every with non-positive period %v", period))
 	}
-	t := &Ticker{engine: e, period: period, name: name, callback: callback}
-	t.scheduleNext()
+	t := &Ticker{period: period, callback: callback}
+	t.ev = &Event{Name: name, Callback: t.fire, priority: priority}
+	e.arm(t.ev, e.now+period)
 	return t
 }
 
-// Ticker repeatedly schedules a callback at a fixed period.
+// Ticker repeatedly fires a callback at a fixed period. It owns one event,
+// which it re-arms in place after each firing.
 type Ticker struct {
-	engine   *Engine
 	period   time.Duration
-	name     string
 	callback func(*Engine)
-	next     *Event
+	ev       *Event
 	stopped  bool
 }
 
 // Stop prevents any further firings of the ticker.
 func (t *Ticker) Stop() {
 	t.stopped = true
-	if t.next != nil {
-		t.next.Cancel()
-	}
+	t.ev.Cancel()
 }
 
 // Period returns the ticker's period.
 func (t *Ticker) Period() time.Duration { return t.period }
 
-func (t *Ticker) scheduleNext() {
-	if t.stopped {
-		return
+func (t *Ticker) fire(e *Engine) {
+	t.callback(e)
+	if !t.stopped {
+		e.arm(t.ev, e.now+t.period)
 	}
-	t.next = t.engine.Schedule(t.period, t.name, func(eng *Engine) {
-		if t.stopped {
-			return
-		}
-		t.callback(eng)
-		t.scheduleNext()
-	})
 }
 
 // Stop halts the run loop after the current event completes. The given error
@@ -221,15 +250,16 @@ func (e *Engine) Step() bool {
 		if e.stopped {
 			return false
 		}
-		ev := heap.Pop(&e.queue).(*Event)
+		ev := e.queue[0]
 		if ev.canceled {
+			e.queue.pop()
 			continue
 		}
 		if e.Horizon > 0 && ev.At > e.Horizon {
-			// Push it back so state remains inspectable, then refuse to run.
-			heap.Push(&e.queue, ev)
+			// Leave it queued so state remains inspectable, and refuse to run.
 			return false
 		}
+		e.queue.pop()
 		e.now = ev.At
 		if e.tracer != nil {
 			e.tracer(*ev)

@@ -50,13 +50,15 @@ func TestFIFOAtEqualTimes(t *testing.T) {
 
 func TestPriorityTieBreak(t *testing.T) {
 	e := NewEngine()
+	e.Horizon = time.Second
 	var order []string
-	e.SchedulePriority(time.Second, 5, "late", func(*Engine) { order = append(order, "late") })
-	e.SchedulePriority(time.Second, -5, "early", func(*Engine) { order = append(order, "early") })
+	e.EveryPriority(time.Second, 5, "late", func(*Engine) { order = append(order, "late") })
+	e.Schedule(time.Second, "plain", func(*Engine) { order = append(order, "plain") })
+	e.EveryPriority(time.Second, -5, "early", func(*Engine) { order = append(order, "early") })
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != 2 || order[0] != "early" || order[1] != "late" {
+	if len(order) != 3 || order[0] != "early" || order[1] != "plain" || order[2] != "late" {
 		t.Errorf("priority order = %v", order)
 	}
 }
@@ -275,34 +277,139 @@ func TestSeconds(t *testing.T) {
 	}
 }
 
-// Property: regardless of insertion order, events fire in non-decreasing time
-// order and the clock ends at the max scheduled time.
+// Property: regardless of insertion order, events fire in (time, priority,
+// scheduling order). One-shot events, some scheduling a follow-up from their
+// callback, share instants with priority tickers, some of which schedule a
+// one-shot at their own next firing time. The test counts scheduling acts
+// itself — a ticker is re-armed right after its callback returns — and
+// checks the full firing order against a sort of every event scheduled
+// within the horizon. (That sort is the firing order because every callback
+// schedules only events that sort after itself.)
 func TestEventOrderProperty(t *testing.T) {
-	f := func(delaysMs []uint16) bool {
-		if len(delaysMs) == 0 {
-			return true
+	type key struct {
+		at    time.Duration
+		prio  int
+		order int
+	}
+	less := func(a, b key) bool {
+		if a.at != b.at {
+			return a.at < b.at
 		}
+		if a.prio != b.prio {
+			return a.prio < b.prio
+		}
+		return a.order < b.order
+	}
+	const horizon = 64 * time.Millisecond
+	f := func(delaysMs []uint16, tickers []uint16) bool {
 		e := NewEngine()
-		var fired []time.Duration
-		var maxAt time.Duration
+		e.Horizon = horizon
+		var scheduled, fired []key
+		schedule := func(at time.Duration, prio int) key {
+			k := key{at, prio, len(scheduled)}
+			scheduled = append(scheduled, k)
+			return k
+		}
+		oneShot := func(eng *Engine, delay time.Duration, follow uint16) {
+			k := schedule(eng.Now()+delay, 0)
+			eng.Schedule(delay, "ev", func(eng *Engine) {
+				fired = append(fired, k)
+				if follow > 0 {
+					delay := time.Duration(follow-1) * time.Millisecond
+					fk := schedule(eng.Now()+delay, 0)
+					eng.Schedule(delay, "follow", func(*Engine) { fired = append(fired, fk) })
+				}
+			})
+		}
 		for _, d := range delaysMs {
-			at := time.Duration(d) * time.Millisecond
-			if at > maxAt {
-				maxAt = at
-			}
-			e.Schedule(at, "ev", func(eng *Engine) { fired = append(fired, eng.Now()) })
+			oneShot(e, time.Duration(d%64)*time.Millisecond, d/64%4)
+		}
+		if len(tickers) > 6 {
+			tickers = tickers[:6]
+		}
+		for _, spec := range tickers {
+			period := time.Duration(1+spec%7) * time.Millisecond
+			prio := int(spec/7%21) - 10
+			spawns := spec/147%2 == 1
+			next := schedule(period, prio)
+			e.EveryPriority(period, prio, "tick", func(eng *Engine) {
+				fired = append(fired, next)
+				if spawns {
+					oneShot(eng, period, 0)
+				}
+				next = schedule(eng.Now()+period, prio)
+			})
 		}
 		if err := e.Run(0); err != nil {
 			return false
 		}
-		for i := 1; i < len(fired); i++ {
-			if fired[i] < fired[i-1] {
+		var want []key
+		for _, k := range scheduled {
+			if k.at <= horizon {
+				want = append(want, k)
+			}
+		}
+		sort.Slice(want, func(i, j int) bool { return less(want[i], want[j]) })
+		if len(fired) != len(want) {
+			return false
+		}
+		for i := range want {
+			if fired[i] != want[i] {
 				return false
 			}
 		}
-		return e.Now() == maxAt && len(fired) == len(delaysMs)
+		return len(fired) == 0 || e.Now() == fired[len(fired)-1].at
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Steady-state ticking allocates nothing: every ticker, the physics-style
+// priority ticker included, re-arms its own event in place.
+func TestTickerFiringAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	fired := 0
+	count := func(*Engine) { fired++ }
+	e.EveryPriority(Seconds(0.02), -10, "sim/physics", count)
+	for _, hz := range []float64{4, 4, 10, 50} {
+		e.Every(Seconds(1/hz), "sim/sensor", count)
+	}
+	e.Every(Seconds(0.1), "control/tick", count)
+	if err := e.RunUntil(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	before := fired
+	if allocs := testing.AllocsPerRun(1000, func() { e.Step() }); allocs != 0 {
+		t.Errorf("ticker firing allocates %v per event, want 0", allocs)
+	}
+	if fired == before {
+		t.Error("no ticker fired")
+	}
+}
+
+// BenchmarkEngineStep times one event of the simulator's event mix: physics
+// at 50 Hz on a priority ticker, the depth, RGB, GPS and IMU sensor tickers,
+// a 10 Hz control and a 1 Hz mission ticker, and a one-shot executor
+// completion after each control tick. Tickers allocate nothing per firing;
+// each one-shot allocates its event.
+func BenchmarkEngineStep(b *testing.B) {
+	e := NewEngine()
+	nop := func(*Engine) {}
+	e.EveryPriority(Seconds(0.02), -10, "sim/physics", nop)
+	e.Every(Seconds(0.25), "sim/depth", nop)
+	e.Every(Seconds(0.25), "sim/rgb", nop)
+	e.Every(Seconds(0.1), "sim/gps", nop)
+	e.Every(Seconds(0.02), "sim/imu", nop)
+	e.Every(Seconds(1), "mission", nop)
+	e.Every(Seconds(0.1), "control/tick", func(eng *Engine) {
+		eng.Schedule(7*time.Millisecond, "ros/job-done:control", nop)
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !e.Step() {
+			b.Fatal("engine ran out of events")
+		}
 	}
 }

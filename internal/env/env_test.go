@@ -127,20 +127,44 @@ func TestStaticObstacleUnaffectedByStep(t *testing.T) {
 	}
 }
 
+// nearestByScan is the reference for NearestObstacleWithin: a scan over every
+// obstacle in Obstacles() order, the first of equally near ones winning.
+func nearestByScan(w *World, p geom.Vec3) (float64, *Obstacle) {
+	best := math.Inf(1)
+	var bestObs *Obstacle
+	for _, o := range w.Obstacles() {
+		if d := o.Box.DistanceTo(p); d < best {
+			best, bestObs = d, o
+		}
+	}
+	return best, bestObs
+}
+
 func TestNearestObstacleDistance(t *testing.T) {
 	w := New("test", geom.NewAABB(geom.V3(-50, -50, 0), geom.V3(50, 50, 20)), 1)
-	d, o := w.NearestObstacleDistance(geom.V3(0, 0, 5))
+	p := geom.V3(0, 0, 5)
+	d, o := w.NearestObstacleWithin(p, math.Inf(1))
 	if !math.IsInf(d, 1) || o != nil {
 		t.Error("empty world should report +Inf")
 	}
 	w.AddObstacle(KindStructure, geom.BoxAt(geom.V3(10, 0, 5), geom.V3(2, 2, 2)), "near")
 	w.AddObstacle(KindStructure, geom.BoxAt(geom.V3(30, 0, 5), geom.V3(2, 2, 2)), "far")
-	d, o = w.NearestObstacleDistance(geom.V3(0, 0, 5))
+	d, o = w.NearestObstacleWithin(p, math.Inf(1))
 	if o == nil || o.Label != "near" {
 		t.Fatalf("nearest = %v", o)
 	}
 	if math.Abs(d-9) > 1e-9 {
 		t.Errorf("distance = %v, want 9", d)
+	}
+	if refD, refO := nearestByScan(w, p); refO != o || refD != d {
+		t.Errorf("NearestObstacleWithin = %v %v, scan = %v %v", d, o, refD, refO)
+	}
+	// The radius is inclusive: the near box is exactly 9 m away.
+	if d, o := w.NearestObstacleWithin(p, 9); o == nil || o.Label != "near" || d != 9 {
+		t.Errorf("within 9 m: %v %v, want near at 9", d, o)
+	}
+	if d, o := w.NearestObstacleWithin(p, 8.999); o != nil || !math.IsInf(d, 1) {
+		t.Errorf("within 8.999 m: %v %v, want +Inf and nil", d, o)
 	}
 }
 
@@ -319,7 +343,7 @@ func TestBoundedEmptyWorld(t *testing.T) {
 }
 
 // Property: RayCast never reports a hit closer than the true nearest obstacle
-// distance (it must be consistent with NearestObstacleDistance).
+// distance.
 func TestRayCastConsistencyProperty(t *testing.T) {
 	w := NewUrbanWorld(DefaultUrbanConfig(99))
 	f := func(px, py, dx, dy, dz float64) bool {
@@ -335,8 +359,8 @@ func TestRayCastConsistencyProperty(t *testing.T) {
 		if !hit {
 			return true
 		}
-		nearest, _ := w.NearestObstacleDistance(origin)
-		// Allow the ground plane, which NearestObstacleDistance ignores.
+		nearest, _ := nearestByScan(w, origin)
+		// Allow the ground plane, which nearestByScan ignores.
 		groundDist := origin.Z - w.GroundZ
 		minPossible := math.Min(nearest, groundDist)
 		return dHit >= minPossible-1e-6

@@ -6,17 +6,19 @@ import (
 	"mavbench/internal/geom"
 )
 
-// obstacleIndex accelerates World.RayCast with a uniform 2-D grid over the
-// XY footprints of static structures. Depth-camera simulation casts thousands
-// of rays per frame; the grid turns each cast from an every-obstacle scan
-// into a DDA walk that only tests the obstacles whose footprint overlaps the
-// cells the ray actually crosses.
+// obstacleIndex accelerates World.RayCast and World.NearestObstacleWithin
+// with a uniform 2-D grid over the XY footprints of static structures.
+// Depth-camera simulation casts thousands of rays per frame; the grid turns
+// each cast from an every-obstacle scan into a DDA walk that only tests the
+// obstacles whose footprint overlaps the cells the ray actually crosses. The
+// physics collision check runs on every step; the grid limits it to the
+// obstacles registered near the vehicle.
 //
 // Every static obstacle (structures and semantic targets alike) is indexed;
 // only dynamic obstacles, whose boxes move every Step, stay on a linear scan
-// (rest). Static repositioning must go through World.MoveObstacle, which
-// drops the index. The index is also built lazily on the first cast and
-// dropped whenever an obstacle is added.
+// (rest), which is also the list World.Step advances. Static repositioning
+// must go through World.MoveObstacle, which drops the index. The index is
+// also built lazily on first use and dropped whenever an obstacle is added.
 //
 // The acceleration is exact, not approximate: RayCast returns the minimum
 // intersection distance, a hit at distance t lies in a grid cell the DDA
@@ -25,7 +27,11 @@ import (
 // are bit-identical to the linear scan.
 type obstacleIndex struct {
 	static []*Obstacle // indexed static structures
-	rest   []*Obstacle // dynamic + semantic obstacles, always scanned
+	rest   []*Obstacle // dynamic obstacles, always scanned
+
+	// staticPos and restPos give each obstacle's position in the world's
+	// Obstacles() order, which breaks nearest-obstacle ties.
+	staticPos, restPos []int32
 
 	minX, minY float64
 	cell       float64 // cell edge length (m)
@@ -53,11 +59,13 @@ const indexMinStatics = 4
 // structures' XY footprints into the grid.
 func buildObstacleIndex(obstacles []*Obstacle) *obstacleIndex {
 	idx := &obstacleIndex{}
-	for _, o := range obstacles {
+	for i, o := range obstacles {
 		if o.IsDynamic() {
 			idx.rest = append(idx.rest, o)
+			idx.restPos = append(idx.restPos, int32(i))
 		} else {
 			idx.static = append(idx.static, o)
+			idx.staticPos = append(idx.staticPos, int32(i))
 		}
 	}
 	if len(idx.static) < indexMinStatics {
@@ -305,4 +313,78 @@ func (idx *obstacleIndex) castStatic(ray geom.Ray, maxRange, best float64) float
 			tMaxY += tDeltaY
 		}
 	}
+}
+
+// cubeSlack widens the cube of half-width r that bounds a nearest-obstacle
+// query's candidates. Box.DistanceTo is at least the box's gap from p along
+// each axis, exactly so in floating point once a gap is too large to
+// underflow when squared; the slack covers those tiny gaps and the rounding
+// of p±r, so an obstacle at distance exactly r is never left out. Testing an
+// extra candidate is harmless.
+const cubeSlack = 1e-6
+
+// inCube reports whether box b overlaps the cube of half-width h around p.
+// It is false whenever any coordinate is NaN.
+func inCube(b geom.AABB, p geom.Vec3, h float64) bool {
+	return b.Min.X-p.X <= h && p.X-b.Max.X <= h &&
+		b.Min.Y-p.Y <= h && p.Y-b.Max.Y <= h &&
+		b.Min.Z-p.Z <= h && p.Z-b.Max.Z <= h
+}
+
+// nearestWithin answers World.NearestObstacleWithin from the grid. Its
+// candidates are the static obstacles registered in the cells under the XY
+// square of half-width h around p, and every moving obstacle, each kept only
+// if it overlaps the cube of half-width h; it returns the nearest, ties going
+// to the earliest world position. An obstacle overlapping the cube overlaps
+// the square, and is registered in every cell its footprint overlaps. It
+// declines, returning +Inf, nil and false, when there is no grid or the
+// square covers at least as many cells as there are static obstacles; the
+// caller then scans every obstacle.
+func (idx *obstacleIndex) nearestWithin(p geom.Vec3, h float64) (best float64, bestObs *Obstacle, ok bool) {
+	if idx.cells == nil {
+		return math.Inf(1), nil, false
+	}
+	x0, x1 := idx.cellSpan(p.X-h, p.X+h, idx.minX, idx.nx)
+	y0, y1 := idx.cellSpan(p.Y-h, p.Y+h, idx.minY, idx.ny)
+	if x0 <= x1 && y0 <= y1 && (x1-x0+1)*(y1-y0+1) >= len(idx.static) {
+		return math.Inf(1), nil, false
+	}
+	best, bestPos := math.Inf(1), int32(-1)
+	consider := func(o *Obstacle, pos int32) {
+		if !inCube(o.Box, p, h) {
+			return
+		}
+		if d := o.Box.DistanceTo(p); d < best || (d == best && pos < bestPos) {
+			best, bestPos, bestObs = d, pos, o
+		}
+	}
+	for cy := y0; cy <= y1; cy++ {
+		for cx := x0; cx <= x1; cx++ {
+			for _, oi := range idx.cells[cy*idx.nx+cx] {
+				consider(idx.static[oi], idx.staticPos[oi])
+			}
+		}
+	}
+	for i, o := range idx.rest {
+		consider(o, idx.restPos[i])
+	}
+	return best, bestObs, true
+}
+
+// cellSpan returns the cells c0..c1 along one grid axis (origin lo0, n cells)
+// that overlap [lo, hi]; c0 > c1 when the interval misses the grid or is
+// empty. Infinite bounds clamp to the grid, and a NaN bound misses it.
+func (idx *obstacleIndex) cellSpan(lo, hi, lo0 float64, n int) (c0, c1 int) {
+	hi0 := lo0 + float64(n)*idx.cell
+	if !(hi >= lo0 && lo <= hi0 && lo <= hi) {
+		return 0, -1
+	}
+	c0, c1 = 0, n-1
+	if lo > lo0 {
+		c0 = clampCell(int((lo-lo0)/idx.cell), n)
+	}
+	if hi < hi0 {
+		c1 = clampCell(int((hi-lo0)/idx.cell), n)
+	}
+	return c0, c1
 }

@@ -74,6 +74,12 @@ func (o *Obstacle) Center() geom.Vec3 { return o.Box.Center() }
 func (o *Obstacle) IsDynamic() bool { return o.Speed > 0 }
 
 // World is a bounded 3-D environment.
+//
+// Geometry queries — RayCast, CastStatic, CastDynamic and
+// NearestObstacleWithin — run on a lazily built index (see
+// obstacle_index.go) and reuse scratch state, so a World is not safe for
+// concurrent use, not even for queries alone; give each goroutine its own
+// Clone.
 type World struct {
 	Name   string
 	Bounds geom.AABB
@@ -86,9 +92,9 @@ type World struct {
 	rng       *rand.Rand
 	elapsed   float64
 
-	// idx is the lazily built ray-cast acceleration grid (see
-	// obstacle_index.go). Dropped on AddObstacle; never copied by Clone, so
-	// clones rebuild their own against their own obstacle copies.
+	// idx is the lazily built obstacle index (see obstacle_index.go and
+	// index). Dropped on AddObstacle; never copied by Clone, so clones
+	// rebuild their own against their own obstacle copies.
 	idx *obstacleIndex
 
 	// version counts geometry changes (obstacles added, moved, or stepped).
@@ -297,10 +303,9 @@ func (w *World) Step(dt float64) {
 		return
 	}
 	w.elapsed += dt
-	for _, o := range w.obstacles {
-		if !o.IsDynamic() {
-			continue
-		}
+	// The index lists the moving obstacles in world order, so a step costs
+	// nothing per static obstacle.
+	for _, o := range w.index().rest {
 		span := o.PatrolA.Dist(o.PatrolB)
 		if span == 0 {
 			continue
@@ -317,6 +322,15 @@ func (w *World) Step(dt float64) {
 		o.Box = geom.BoxAt(target, o.Box.Size())
 		w.version++
 	}
+}
+
+// index returns the obstacle index, building it if an obstacle was added or
+// moved since the last build.
+func (w *World) index() *obstacleIndex {
+	if w.idx == nil {
+		w.idx = buildObstacleIndex(w.obstacles)
+	}
+	return w.idx
 }
 
 // Occupied reports whether the point collides with the ground, the world
@@ -391,10 +405,7 @@ func (w *World) CastStatic(origin, d geom.Vec3, maxRange float64) float64 {
 			best = t
 		}
 	}
-	if w.idx == nil {
-		w.idx = buildObstacleIndex(w.obstacles)
-	}
-	return w.idx.castStatic(geom.Ray{Origin: origin, Dir: d}, maxRange, best)
+	return w.index().castStatic(geom.Ray{Origin: origin, Dir: d}, maxRange, best)
 }
 
 // CastDynamic folds the moving obstacles into best and returns the updated
@@ -404,10 +415,7 @@ func (w *World) CastStatic(origin, d geom.Vec3, maxRange float64) float64 {
 // outcome of a cast bounded by maxRange (it is "no return" either way) —
 // so the prefilter is bit-identical to the full scan.
 func (w *World) CastDynamic(origin, d geom.Vec3, maxRange, best float64) float64 {
-	if w.idx == nil {
-		w.idx = buildObstacleIndex(w.obstacles)
-	}
-	rest := w.idx.rest
+	rest := w.index().rest
 	if len(rest) > 2 {
 		// rangeSlack keeps an obstacle whose distance lands within float
 		// error of the boundary; testing an extra obstacle is harmless.
@@ -432,17 +440,32 @@ func (w *World) CastDynamic(origin, d geom.Vec3, maxRange, best float64) float64
 	return best
 }
 
-// NearestObstacleDistance returns the distance from p to the closest obstacle
-// surface (0 when p is inside an obstacle) and the obstacle itself. The
-// ground plane is not considered. Returns +Inf and nil for an empty world.
-func (w *World) NearestObstacleDistance(p geom.Vec3) (float64, *Obstacle) {
-	best := math.Inf(1)
-	var bestObs *Obstacle
-	for _, o := range w.obstacles {
-		if d := o.Box.DistanceTo(p); d < best {
-			best = d
-			bestObs = o
+// NearestObstacleWithin returns the obstacle closest to p and its surface
+// distance (0 when p is inside it), provided that distance is at most r;
+// otherwise it returns +Inf and nil. The ground plane is not considered.
+//
+// The answer is exactly that of a scan over every obstacle: the same
+// obstacle, ties going to the earliest in Obstacles() order, and the same
+// Box.DistanceTo value. Only obstacles overlapping a cube of half-width
+// slightly over r around p are measured. When that cube's XY square covers
+// fewer cells of the obstacle index's grid than there are static obstacles,
+// the candidates are the static obstacles registered in those cells and the
+// moving ones; otherwise the query scans every obstacle.
+func (w *World) NearestObstacleWithin(p geom.Vec3, r float64) (float64, *Obstacle) {
+	h := r + cubeSlack
+	best, bestObs, indexed := w.index().nearestWithin(p, h)
+	if !indexed {
+		for _, o := range w.obstacles {
+			if !inCube(o.Box, p, h) {
+				continue
+			}
+			if d := o.Box.DistanceTo(p); d < best {
+				best, bestObs = d, o
+			}
 		}
+	}
+	if !(best <= r) {
+		return math.Inf(1), nil
 	}
 	return best, bestObs
 }

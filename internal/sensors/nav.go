@@ -120,7 +120,7 @@ func (g *GPS) Sample(w *env.World, truth geom.Vec3, timestamp float64) GPSFix {
 	degraded := false
 	sats := 12
 	if w != nil {
-		if d, o := w.NearestObstacleDistance(truth); o != nil && d < g.ObstructionRadius && o.Box.Max.Z > truth.Z {
+		if d, o := w.NearestObstacleWithin(truth, g.ObstructionRadius); o != nil && d < g.ObstructionRadius && o.Box.Max.Z > truth.Z {
 			degraded = true
 			noiseH *= g.DegradedNoiseFactor
 			noiseV *= g.DegradedNoiseFactor

@@ -362,9 +362,10 @@ func (s *Simulator) CompleteMission(success bool, reason string) {
 // scheduleLoops installs the physics and sensor event loops.
 func (s *Simulator) scheduleLoops() {
 	step := des.Seconds(s.cfg.PhysicsStepS)
+	dt := step.Seconds()
 	// Physics (and energy) at high priority so same-instant sensor events see
 	// the updated world.
-	s.engine.SchedulePriority(step, -10, "sim/physics", func(e *des.Engine) { s.physicsStep(e, step) })
+	s.engine.EveryPriority(step, -10, "sim/physics", func(*des.Engine) { s.physicsStep(dt) })
 
 	s.engine.Every(des.Seconds(1/s.cfg.DepthCameraRateHz), "sim/depth", func(*des.Engine) { s.publishDepth() })
 	s.engine.Every(des.Seconds(1/s.cfg.RGBCameraRateHz), "sim/rgb", func(*des.Engine) { s.publishRGB() })
@@ -372,12 +373,10 @@ func (s *Simulator) scheduleLoops() {
 	s.engine.Every(des.Seconds(1/s.cfg.IMURateHz), "sim/imu", func(*des.Engine) { s.publishIMU() })
 }
 
-func (s *Simulator) physicsStep(e *des.Engine, step time.Duration) {
+func (s *Simulator) physicsStep(dt float64) {
 	if s.missionDone {
 		return
 	}
-	dt := step.Seconds()
-
 	s.fc.Step(dt)
 	state := s.vehicle.Step(dt)
 	s.world.Step(dt)
@@ -407,16 +406,13 @@ func (s *Simulator) physicsStep(e *des.Engine, step time.Duration) {
 		// Only obstacle strikes count as collisions; proximity to the ground
 		// during takeoff/landing and map-boundary excursions do not crash the
 		// vehicle.
-		if d, o := s.world.NearestObstacleDistance(state.Position); o != nil && d <= s.cfg.VehicleParams.RadiusM*0.75 {
+		if _, o := s.world.NearestObstacleWithin(state.Position, s.cfg.VehicleParams.RadiusM*0.75); o != nil {
 			s.collisions++
 			s.recorder.Count("collisions", 1)
 			s.CompleteMission(false, "collision")
 			return
 		}
 	}
-
-	// Schedule the next step.
-	s.engine.SchedulePriority(e.Now()+step, -10, "sim/physics", func(e *des.Engine) { s.physicsStep(e, step) })
 }
 
 // sensing reports whether a sensor tick publishing on t should render: the

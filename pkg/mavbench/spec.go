@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -267,30 +268,36 @@ func (s Spec) Validate() error {
 	switch {
 	case s.Cores < 0 || s.Cores > 8:
 		return fmt.Errorf("mavbench: cores = %d out of range [0, 8] (0 = default, paper sweeps 2-4)", s.Cores)
-	case s.FreqGHz < 0 || s.FreqGHz > 4:
+	case !inRange(s.FreqGHz, 0, 4):
 		return fmt.Errorf("mavbench: freq_ghz = %g out of range [0, 4] (0 = default, paper sweeps 0.8-2.2)", s.FreqGHz)
-	case s.OctomapResolution < 0 || s.OctomapResolution > 2:
+	case !inRange(s.OctomapResolution, 0, 2):
 		return fmt.Errorf("mavbench: octomap_resolution = %g m out of range [0, 2]", s.OctomapResolution)
-	case s.CoarseResolution < 0 || s.CoarseResolution > 5:
+	case !inRange(s.CoarseResolution, 0, 5):
 		return fmt.Errorf("mavbench: coarse_resolution = %g m out of range [0, 5]", s.CoarseResolution)
 	case s.DynamicResolution && s.OctomapResolution > 0 && s.CoarseResolution > 0 &&
 		s.CoarseResolution < s.OctomapResolution:
 		return fmt.Errorf("mavbench: dynamic resolution needs coarse (%g m) >= fine (%g m)",
 			s.CoarseResolution, s.OctomapResolution)
-	case s.DepthNoiseStd < 0 || s.DepthNoiseStd > 10:
+	case !inRange(s.DepthNoiseStd, 0, 10):
 		return fmt.Errorf("mavbench: depth_noise_std = %g m out of range [0, 10]", s.DepthNoiseStd)
-	case s.WorldScale < 0 || s.WorldScale > 10:
+	case !inRange(s.WorldScale, 0, 10):
 		return fmt.Errorf("mavbench: world_scale = %g out of range [0, 10]", s.WorldScale)
-	case s.MaxMissionTimeS < 0:
-		return fmt.Errorf("mavbench: max_mission_time_s = %g must be >= 0", s.MaxMissionTimeS)
+	case !inRange(s.MaxMissionTimeS, 0, math.MaxFloat64):
+		return fmt.Errorf("mavbench: max_mission_time_s = %g must be finite and >= 0", s.MaxMissionTimeS)
 	}
 	if s.CloudLink != nil {
+		if rtt := s.CloudLink.RTTMillis; math.IsNaN(rtt) || math.IsInf(rtt, 0) {
+			return fmt.Errorf("mavbench: cloud link %q rtt_ms = %g is not finite", s.CloudLink.Name, rtt)
+		}
 		if err := s.CloudLink.compute().Validate(); err != nil {
 			return fmt.Errorf("mavbench: %w", err)
 		}
 	}
 	return s.params().Validate()
 }
+
+// inRange reports whether lo <= v <= hi; NaN is in no range.
+func inRange(v, lo, hi float64) bool { return v >= lo && v <= hi }
 
 // Canonical returns the spec with every default filled in and alias kernel
 // spellings resolved — the form the engine actually runs and the form Hash

@@ -2,6 +2,7 @@ package mavbench
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -36,6 +37,24 @@ func TestNewSpecValidatesAtBuildTime(t *testing.T) {
 		{"absurd world scale", "scanning", []Option{WithWorldScale(99)}, "world_scale"},
 		{"negative mission time", "scanning", []Option{WithMaxMissionTime(-5)}, "max_mission_time_s"},
 		{"broken cloud link", "scanning", []Option{WithCloudOffload(CloudLink{BandwidthMbps: -1})}, "bandwidth"},
+		// NaN passes every "v < lo || v > hi" test, and encoding/json can
+		// carry neither NaN nor ±Inf into a stored Result.
+		{"NaN frequency", "scanning", []Option{WithOperatingPoint(4, math.NaN())}, "freq_ghz"},
+		{"NaN resolution", "scanning", []Option{WithOctomapResolution(math.NaN())}, "octomap_resolution"},
+		{"NaN coarse resolution", "scanning", []Option{WithDynamicResolution(0.15, math.NaN())}, "coarse_resolution"},
+		{"NaN noise", "scanning", []Option{WithDepthNoise(math.NaN())}, "depth_noise_std"},
+		{"NaN world scale", "scanning", []Option{WithWorldScale(math.NaN())}, "world_scale"},
+		{"infinite world scale", "scanning", []Option{WithWorldScale(math.Inf(1))}, "world_scale"},
+		{"NaN mission time", "scanning", []Option{WithMaxMissionTime(math.NaN())}, "max_mission_time_s"},
+		{"infinite mission time", "scanning", []Option{WithMaxMissionTime(math.Inf(1))}, "max_mission_time_s"},
+		{"NaN difficulty", "scanning", []Option{WithDifficulty(math.NaN())}, "difficulty"},
+		{"NaN knob", "scanning", []Option{WithScenarioKnobs(ScenarioKnobs{DynamicSpeed: math.NaN()})}, "dynamic_speed"},
+		{"infinite knob", "scanning", []Option{WithScenarioKnobs(ScenarioKnobs{ExtentScale: math.Inf(1)})}, "extent_scale"},
+		{"NaN bandwidth", "scanning", []Option{WithCloudOffload(CloudLink{BandwidthMbps: math.NaN()})}, "bandwidth"},
+		{"infinite bandwidth", "scanning", []Option{WithCloudOffload(CloudLink{BandwidthMbps: math.Inf(1)})}, "bandwidth"},
+		{"NaN RTT", "scanning", []Option{WithCloudOffload(CloudLink{BandwidthMbps: 10, RTTMillis: math.NaN()})}, "rtt_ms"},
+		{"infinite RTT", "scanning", []Option{WithCloudOffload(CloudLink{BandwidthMbps: 10, RTTMillis: math.Inf(1)})}, "rtt_ms"},
+		{"NaN drop probability", "scanning", []Option{WithCloudOffload(CloudLink{BandwidthMbps: 10, DropProbability: math.NaN()})}, "drop probability"},
 	}
 	for _, tc := range cases {
 		_, err := NewSpec(tc.wl, tc.opts...)
