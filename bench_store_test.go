@@ -1,6 +1,5 @@
 // Storage subsystem benchmarks: world provisioning with and without the
-// world cache, and the segment result store against the one-file-per-hash
-// DiskStore it replaces for analytics workloads.
+// world cache, and the segment result store's put, get and indexed query.
 //
 // The world-provisioning pair measures exactly the stage the cache
 // accelerates — building a workload's world versus cloning a cached one —
@@ -137,37 +136,9 @@ func TestEmitStoreBenchJSON(t *testing.T) {
 				}
 			}
 		}),
-		runBench("store/disk/put", func(b *testing.B) {
-			s, err := mavbench.NewDiskStore(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				hash, res := storeBenchResult(i)
-				s.Put(hash, res)
-			}
-		}),
-		runBench("store/disk/get", func(b *testing.B) {
-			s, err := mavbench.NewDiskStore(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < prefill; i++ {
-				hash, res := storeBenchResult(i)
-				s.Put(hash, res)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				hash, _ := storeBenchResult(i % prefill)
-				if _, ok := s.Get(hash); !ok {
-					b.Fatalf("miss on %s", hash)
-				}
-			}
-		}),
 	)
 
 	writeBenchFile(t, "BENCH_store.json", "store",
-		"Storage subsystem: world provisioning cold (build) vs warm (cached clone) for the scanning workload at scale 0.3, and segment-store vs DiskStore put/get plus indexed query over 2048 records. The warm entry's speedup factor is measured against cold within the same run.",
+		"Storage subsystem: world provisioning cold (build) vs warm (cached clone) for the scanning workload at scale 0.3, and segment-store put, get and indexed query over 2048 records. The warm entry's speedup factor is measured against cold within the same run.",
 		entries)
 }

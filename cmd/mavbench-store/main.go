@@ -1,15 +1,14 @@
-// Command mavbench-store administers result stores offline: inspect a
-// segment store, query it the way GET /v1/results does, force a compaction,
-// and migrate a one-file-per-hash DiskStore into the segment layout.
+// Command mavbench-store administers a result store offline: inspect it,
+// query it the way GET /v1/results does, and force a compaction. Stop the
+// mavbenchd that owns the directory first; a store directory is opened by
+// one process at a time.
 //
 //	mavbench-store stats   -dir /var/lib/mavbench/segments
 //	mavbench-store query   -dir /var/lib/mavbench/segments -workload scanning -cores-min 4 -metrics MissionTimeS,TotalEnergyKJ
 //	mavbench-store compact -dir /var/lib/mavbench/segments
-//	mavbench-store migrate -from /var/lib/mavbench/results -to /var/lib/mavbench/segments
 //
-// All output is JSON (one document for stats/compact/migrate, NDJSON rows
-// for query), so results pipe into jq. See docs/STORE.md for the layout and
-// the migration runbook.
+// All output is JSON (one document for stats/compact, NDJSON rows for
+// query), so results pipe into jq. See docs/STORE.md for the layout.
 package main
 
 import (
@@ -36,8 +35,6 @@ func main() {
 		err = runQuery(os.Args[2:])
 	case "compact":
 		err = runCompact(os.Args[2:])
-	case "migrate":
-		err = runMigrate(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -53,13 +50,12 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, `mavbench-store administers mavbench result stores.
+	fmt.Fprint(os.Stderr, `mavbench-store administers a mavbench result store.
 
 Subcommands:
   stats   -dir <segments>            store counters (segments, records, live/dead bytes, ...)
   query   -dir <segments> [filters]  filtered results as NDJSON (mirrors GET /v1/results)
   compact -dir <segments>            rewrite live records, reclaim dead bytes
-  migrate -from <disk> -to <segments>  copy a DiskStore into a segment store
 
 Run "mavbench-store <subcommand> -h" for the subcommand's flags.
 `)
@@ -205,28 +201,4 @@ func reportFields(rep mavbench.Report) map[string]any {
 		}
 	}
 	return out
-}
-
-func runMigrate(args []string) error {
-	fs := flag.NewFlagSet("migrate", flag.ExitOnError)
-	from := fs.String("from", "", "source DiskStore directory (one <hash>.json per result)")
-	to := fs.String("to", "", "destination segment store directory (created if missing)")
-	fs.Parse(args)
-	if *from == "" || *to == "" {
-		return fmt.Errorf("migrate requires both -from and -to")
-	}
-	src, err := mavbench.NewDiskStore(*from)
-	if err != nil {
-		return err
-	}
-	dst, err := resultdb.Open(*to)
-	if err != nil {
-		return err
-	}
-	defer dst.Close()
-	st, err := resultdb.Migrate(src, dst)
-	if err != nil {
-		return err
-	}
-	return emit(map[string]any{"migrated": st.Migrated, "skipped": st.Skipped, "stats": dst.Stats()})
 }

@@ -11,13 +11,15 @@
 //
 // Fleet mode: any mavbenchd can be a coordinator (workers register with it
 // and submitted campaigns shard across them), and `-worker -join <url>`
-// turns an instance into a fleet worker. `-store-dir` persists results in a
-// disk-backed content-addressed store; point every fleet member at the same
-// directory (shared filesystem) and no spec is ever simulated twice.
+// turns an instance into a fleet worker. `-store-dir` persists results in
+// the content-addressed segment store (pkg/mavbench/resultdb) and serves
+// GET /v1/results over it. Only the coordinator takes `-store-dir`: it
+// checks the store before dispatching and stores every result a worker
+// returns, so no spec is ever simulated twice and workers need no store.
 //
 //	mavbenchd -addr :8080 -store-dir /var/lib/mavbench/results          # coordinator
-//	mavbenchd -addr :8081 -worker -join http://coord:8080 -store-dir ...
-//	mavbenchd -addr :8082 -worker -join http://coord:8080 -store-dir ...
+//	mavbenchd -addr :8081 -worker -join http://coord:8080
+//	mavbenchd -addr :8082 -worker -join http://coord:8080
 //
 // See docs/API.md for the endpoint reference and docs/DISTRIBUTED.md for
 // fleet topology and failure semantics.
@@ -46,9 +48,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "parallel runs per campaign (0 = one per CPU)")
 	noCache := flag.Bool("no-cache", false, "disable the content-addressed result store")
-	storeDir := flag.String("store-dir", "", "persist results in a disk-backed content-addressed store at this directory (share it across a fleet)")
-	storeMaxMB := flag.Int64("store-max-mb", 0, "LRU size bound for -store-dir, in MiB (0 = unbounded; disk backend only)")
-	storeBackend := flag.String("store-backend", "disk", `store layout for -store-dir: "disk" (one file per hash) or "segment" (compacting NDJSON segments; enables GET /v1/results — see docs/STORE.md)`)
+	storeDir := flag.String("store-dir", "", "persist results in the segment store at this directory and serve GET /v1/results (coordinator only; one process per directory — see docs/STORE.md)")
 	worldCacheMB := flag.Int64("world-cache-mb", 256, "in-memory world cache bound, in MiB (0 disables world caching)")
 	worldCacheDir := flag.String("world-cache-dir", "", "spill built worlds to this directory so they survive restarts (optional)")
 	workerMode := flag.Bool("worker", false, "run as a fleet worker: register with the -join coordinator and heartbeat")
@@ -70,20 +70,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mavbenchd: -store-dir and -no-cache are mutually exclusive")
 		os.Exit(2)
 	}
-	if *storeMaxMB > 0 && *storeDir == "" {
-		fmt.Fprintln(os.Stderr, "mavbenchd: -store-max-mb requires -store-dir")
-		os.Exit(2)
-	}
-	if *storeBackend != "disk" && *storeBackend != "segment" {
-		fmt.Fprintf(os.Stderr, "mavbenchd: -store-backend must be \"disk\" or \"segment\", got %q\n", *storeBackend)
-		os.Exit(2)
-	}
-	if *storeBackend == "segment" && *storeDir == "" {
-		fmt.Fprintln(os.Stderr, "mavbenchd: -store-backend segment requires -store-dir")
-		os.Exit(2)
-	}
-	if *storeBackend == "segment" && *storeMaxMB > 0 {
-		fmt.Fprintln(os.Stderr, "mavbenchd: -store-max-mb applies to the disk backend only (the segment store reclaims space by compaction)")
+	if *storeDir != "" && *workerMode {
+		fmt.Fprintln(os.Stderr, "mavbenchd: -worker takes no -store-dir: the coordinator owns the result store and stores every result its workers return")
 		os.Exit(2)
 	}
 
@@ -122,27 +110,13 @@ func main() {
 		storeDesc = "off"
 	}
 	if *storeDir != "" {
-		switch *storeBackend {
-		case "segment":
-			store, err := resultdb.Open(*storeDir)
-			if err != nil {
-				log.Fatalf("mavbenchd: %v", err)
-			}
-			defer store.Close()
-			cfg.Store = store
-			storeDesc = "segment:" + *storeDir
-		default:
-			var opts []mavbench.DiskStoreOption
-			if *storeMaxMB > 0 {
-				opts = append(opts, mavbench.WithMaxBytes(*storeMaxMB<<20))
-			}
-			store, err := mavbench.NewDiskStore(*storeDir, opts...)
-			if err != nil {
-				log.Fatalf("mavbenchd: %v", err)
-			}
-			cfg.Store = store
-			storeDesc = "disk:" + *storeDir
+		store, err := resultdb.Open(*storeDir)
+		if err != nil {
+			log.Fatalf("mavbenchd: %v", err)
 		}
+		defer store.Close()
+		cfg.Store = store
+		storeDesc = *storeDir
 	}
 	if *worldCacheMB <= 0 {
 		cfg.DisableWorldCache = true

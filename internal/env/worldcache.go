@@ -18,11 +18,10 @@ import (
 // a deep Clone, so the cached original is never mutated by a simulation.
 //
 // With a spill directory configured, built worlds are also written to disk as
-// content-addressed snapshots (<world-hash>.json, atomic temp-file + rename,
-// like the result DiskStore), so worlds survive process restarts and can be
-// shared by every process of a fleet worker box. The in-memory LRU is the
-// first tier; the spill directory is consulted on a memory miss before
-// falling back to building.
+// content-addressed snapshots (<world-hash>.json, atomic temp-file + rename),
+// so worlds survive process restarts and can be shared by every process of a
+// fleet worker box. The in-memory LRU is the first tier; the spill directory
+// is consulted on a memory miss before falling back to building.
 //
 // All methods are safe for concurrent use. Concurrent misses on one key are
 // single-flight: the first caller builds the world, the others wait for that

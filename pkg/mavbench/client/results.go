@@ -12,7 +12,7 @@ import (
 )
 
 // ResultsQuery selects stored results on the server's query endpoint
-// (GET /v1/results; requires the segment store backend — see docs/STORE.md).
+// (GET /v1/results; requires a server run with -store-dir — see docs/STORE.md).
 // Zero-valued fields match everything.
 type ResultsQuery struct {
 	// Workload and Scenario filter on exact canonical names.

@@ -17,8 +17,8 @@ import (
 
 // Coordinator shards campaigns across a Fleet of mavbenchd workers. Specs
 // are deduplicated by content address (Spec.Hash) so a campaign that repeats
-// a spec dispatches it once; an optional shared ResultStore short-circuits
-// dispatch entirely for specs any fleet member has already simulated.
+// a spec dispatches it once; an optional ResultStore short-circuits dispatch
+// entirely for specs the fleet has already simulated.
 //
 // Construct with a Fleet and use Stream or Collect; the zero value of every
 // other field selects a sensible default.
@@ -26,8 +26,9 @@ type Coordinator struct {
 	// Fleet is the worker registry (required).
 	Fleet *Fleet
 	// Store, when non-nil, is consulted before dispatch and filled with
-	// every successful result. Point it at the same DiskStore directory as
-	// the workers and a spec is never simulated twice anywhere in the fleet.
+	// every successful result a worker returns, so a spec is never
+	// simulated twice anywhere in the fleet. It is the fleet's only store:
+	// workers need none.
 	Store mavbench.ResultStore
 	// Client issues the dispatch requests (default http.DefaultClient; the
 	// coordinator never sets a client-level timeout — batch streams are

@@ -18,6 +18,7 @@ import (
 	"mavbench/internal/sim"
 	"mavbench/pkg/mavbench"
 	"mavbench/pkg/mavbench/distrib"
+	"mavbench/pkg/mavbench/resultdb"
 	"mavbench/pkg/mavbench/server"
 )
 
@@ -238,22 +239,23 @@ func TestCoordinatorRequeuesOnWorkerDeath(t *testing.T) {
 	releaseGate()
 }
 
-// TestCoordinatorServesRepeatsFromSharedStore pins the fleet-wide
-// never-resimulate guarantee: with a shared disk store, a second campaign
-// over the same specs is served entirely from the store — zero new
-// simulations anywhere.
-func TestCoordinatorServesRepeatsFromSharedStore(t *testing.T) {
+// TestCoordinatorStoreServesRepeats pins the fleet-wide never-resimulate
+// guarantee with the store at the coordinator only: workers run on the
+// default in-memory cache, yet a repeated campaign is served entirely from
+// the coordinator's segment store, and so is one after the coordinator
+// restarts on the same directory with a fresh worker.
+func TestCoordinatorStoreServesRepeats(t *testing.T) {
 	wl := &fleetWorkload{name: uniqueDistribWorkload("distrib_store")}
 	core.RegisterFor(t, wl)
 
-	store, err := mavbench.NewDiskStore(t.TempDir())
+	dir := t.TempDir()
+	store, err := resultdb.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Workers and coordinator share one store, as a fleet on a common
-	// filesystem would.
-	w1 := startWorker(t, server.Config{Workers: 1, Store: store})
-	w2 := startWorker(t, server.Config{Workers: 1, Store: store})
+	t.Cleanup(func() { store.Close() })
+	w1 := startWorker(t, server.Config{})
+	w2 := startWorker(t, server.Config{})
 	fleet := distrib.NewFleet(distrib.Config{})
 	fleet.Register(w1.URL)
 	fleet.Register(w2.URL)
@@ -264,30 +266,62 @@ func TestCoordinatorServesRepeatsFromSharedStore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("first campaign: %v", err)
 	}
-	simulated := wl.calls.Load()
-	if simulated != 4 {
-		t.Fatalf("first campaign simulated %d runs, want 4", simulated)
-	}
-
-	second, err := co.Collect(context.Background(), specs)
-	if err != nil {
-		t.Fatalf("second campaign: %v", err)
-	}
-	if got := wl.calls.Load(); got != simulated {
-		t.Errorf("repeat campaign re-simulated: %d runs total, want still %d", got, simulated)
-	}
-	for i, res := range second {
-		if !res.Cached {
-			t.Errorf("repeat result %d not marked cached", i)
-		}
+	if got := wl.calls.Load(); got != 4 {
+		t.Fatalf("first campaign simulated %d runs, want 4", got)
 	}
 	want := marshalNormalized(t, first)
-	got := marshalNormalized(t, second)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("store-served result %d differs from simulated:\n store: %s\n fresh: %s", i, got[i], want[i])
+
+	// dispatched sums the units a coordinator's fleet has been sent.
+	dispatched := func(co *distrib.Coordinator) int64 {
+		var n int64
+		for _, w := range co.Fleet.Workers() {
+			n += w.Dispatched
+		}
+		return n
+	}
+	// repeat runs the campaign again and requires every result to come from
+	// the coordinator's store — nothing dispatched, nothing simulated —
+	// bit-identical to the simulated first run.
+	repeat := func(co *distrib.Coordinator, label string) {
+		t.Helper()
+		before := dispatched(co)
+		results, err := co.Collect(context.Background(), specs)
+		if err != nil {
+			t.Fatalf("%s campaign: %v", label, err)
+		}
+		if got := dispatched(co); got != before {
+			t.Errorf("%s campaign dispatched %d units, want 0", label, got-before)
+		}
+		if got := wl.calls.Load(); got != 4 {
+			t.Errorf("%s campaign re-simulated: %d runs total, want still 4", label, got)
+		}
+		for i, res := range results {
+			if !res.Cached {
+				t.Errorf("%s result %d not marked cached", label, i)
+			}
+		}
+		got := marshalNormalized(t, results)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s result %d differs from simulated:\n store: %s\n fresh: %s", label, i, got[i], want[i])
+			}
 		}
 	}
+	repeat(co, "repeat")
+
+	// Coordinator restart: the store reopens from its segments and a fresh
+	// worker joins a fresh fleet.
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := resultdb.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reopened.Close() })
+	fleet2 := distrib.NewFleet(distrib.Config{})
+	fleet2.Register(startWorker(t, server.Config{}).URL)
+	repeat(&distrib.Coordinator{Fleet: fleet2, Store: reopened}, "post-restart")
 }
 
 // TestCoordinatorTimesOutStalledWorker points one fleet slot at a server

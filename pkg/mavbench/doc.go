@@ -16,8 +16,8 @@
 //     Stream delivers each Result over a channel the moment its run
 //     completes — the first result is observable long before the last run
 //     finishes — with context cancellation and an optional content-addressed
-//     ResultStore (in-memory, or the persistent DiskStore) so repeated specs
-//     are served without re-simulating. Collect is the blocking convenience
+//     ResultStore (in-memory, or the persistent resultdb segment store) so
+//     repeated specs are served without re-simulating. Collect is the blocking convenience
 //     that returns results in spec order.
 //
 //   - cmd/mavbenchd: an HTTP service exposing campaigns over /v1 endpoints

@@ -1,8 +1,7 @@
-// Package resultdb is the segmented analytics result store: a compacting,
-// append-only backend for the mavbench.ResultStore interface that scales
-// past DiskStore's one-file-per-hash layout and adds the query surface the
-// paper's QoF-versus-compute studies (MAVBench, Boroujerdian et al.,
-// MICRO 2018, Figures 10-15) need.
+// Package resultdb is the persistent result store: a compacting,
+// append-only implementation of the mavbench.ResultStore interface with the
+// query surface the paper's QoF-versus-compute studies (MAVBench,
+// Boroujerdian et al., MICRO 2018, Figures 10-15) need.
 //
 // # Layout
 //
@@ -25,14 +24,19 @@
 //
 // # Crash tolerance
 //
-// The store inherits DiskStore's contract: corruption is tolerated, never
-// fatal. A torn tail (crash mid-append) is truncated away on Open; a corrupt
-// interior line is skipped and counted; compacted segments are published by
-// atomic rename, and a crash between publishing them and deleting their
-// predecessors is healed by last-write-wins on the next Open. Unlike
-// DiskStore, a segment directory must be owned by a single process at a time
-// — fleet members each point at their own store, or share one through a
-// coordinator.
+// Corruption is tolerated, never fatal. A torn tail (crash mid-append) is
+// truncated away on Open; a corrupt interior line is skipped and counted;
+// compacted segments are published by atomic rename, and a crash between
+// publishing them and deleting their predecessors is healed by
+// last-write-wins on the next Open.
+//
+// # One process per directory
+//
+// Append offsets and compaction are process state, so a store directory must
+// be opened by one process at a time. In a mavbenchd fleet only the
+// coordinator opens it: the coordinator checks the store before dispatching
+// a spec and stores every result a worker streams back, so workers hold no
+// store at all.
 package resultdb
 
 import (
@@ -301,8 +305,8 @@ func (s *Store) openActive() error {
 	return nil
 }
 
-// validHash mirrors DiskStore's check: lowercase hex only, bounded length —
-// hashes are file-system- and wire-safe by construction.
+// validHash accepts only the lowercase hex form Spec.Hash produces, with a
+// bounded length; Put drops anything else, so no other key is ever stored.
 func validHash(hash string) bool {
 	if len(hash) == 0 || len(hash) > 128 {
 		return false

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -408,38 +409,76 @@ func TestQueryFilters(t *testing.T) {
 	}
 }
 
-func TestMigrateRoundTripsEveryRecord(t *testing.T) {
-	srcDir, dstDir := t.TempDir(), t.TempDir()
-	src, err := mavbench.NewDiskStore(srcDir)
+// TestConcurrentAccess races writers, readers, queries and compactions over
+// a small hash space (run with -race). Tiny segments make every few Puts
+// rotate, and the periodic Compact rewrites segments under the readers.
+func TestConcurrentAccess(t *testing.T) {
+	s := openTestStore(t, t.TempDir(), WithSegmentTargetBytes(2<<10))
+	const goroutines = 8
+	const iters = 200
+	const keys = 5
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				k := (g + i) % keys
+				s.Put(testHash(k), testResult(k))
+				if res, ok := s.Get(testHash(k)); !ok || !sameResult(res, testResult(k)) {
+					t.Errorf("key %d: Get after Put returned ok=%v, %+v", k, ok, res)
+				}
+				for _, res := range s.Query(Query{}) {
+					if res.SpecHash != testHash(res.Index) {
+						t.Errorf("query row %d carries hash %s", res.Index, res.SpecHash)
+					}
+				}
+				if st := s.Stats(); st.Records > keys {
+					t.Errorf("stats report %d records over %d keys", st.Records, keys)
+				}
+				if n := s.Len(); n > keys {
+					t.Errorf("Len = %d over %d keys", n, keys)
+				}
+				if i%50 == 49 {
+					if err := s.Compact(); err != nil {
+						t.Errorf("Compact: %v", err)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := s.Len(); n != keys {
+		t.Fatalf("Len = %d after the race, want %d", n, keys)
+	}
+}
+
+// TestRejectsUnsafeHashes guards the key boundary: only the lowercase-hex
+// hashes Spec.Hash produces are stored, and a rejected Put writes nothing.
+func TestRejectsUnsafeHashes(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestStore(t, dir)
+	for _, hash := range []string{"", "../escape", "ABCDEF", "abc/def", "zz"} {
+		s.Put(hash, testResult(1))
+		if _, ok := s.Get(hash); ok {
+			t.Errorf("unsafe hash %q was stored", hash)
+		}
+	}
+	if n := s.Len(); n != 0 {
+		t.Fatalf("Len = %d after unsafe Puts, want 0", n)
+	}
+	dirents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 30
-	for i := 0; i < n; i++ {
-		src.Put(testHash(i), testResult(i))
-	}
-	dst := openTestStore(t, dstDir)
-	st, err := Migrate(src, dst)
-	if err != nil {
-		t.Fatalf("Migrate: %v", err)
-	}
-	if st.Migrated != n || st.Skipped != 0 {
-		t.Fatalf("MigrateStats = %+v, want %d migrated", st, n)
-	}
-	for i := 0; i < n; i++ {
-		got, ok := dst.Get(testHash(i))
-		want, _ := src.Get(testHash(i))
-		if !ok || !sameResult(got, want) {
-			t.Fatalf("record %d did not round-trip (ok=%v)", i, ok)
+	for _, de := range dirents {
+		info, err := de.Info()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Re-running converges without duplicating live records.
-	st2, err := Migrate(src, dst)
-	if err != nil || st2.Migrated != n {
-		t.Fatalf("re-migrate: %+v, %v", st2, err)
-	}
-	if dst.Len() != n {
-		t.Fatalf("re-migrate duplicated records: Len = %d, want %d", dst.Len(), n)
+		if de.IsDir() || info.Size() != 0 {
+			t.Errorf("unsafe hashes wrote %s (%d bytes)", de.Name(), info.Size())
+		}
 	}
 }
 

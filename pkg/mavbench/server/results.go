@@ -15,8 +15,8 @@ import (
 
 // QueryStore is the optional interface a Config.Store can implement to light
 // up GET /v1/results: filtered retrieval over everything the store holds.
-// The resultdb segment store implements it; a plain DiskStore or memory
-// cache does not, and the endpoint answers 501 in that case.
+// The resultdb segment store implements it; the in-memory cache does not,
+// and the endpoint answers 501 in that case.
 type QueryStore interface {
 	mavbench.ResultStore
 	Query(resultdb.Query) []mavbench.Result
@@ -62,7 +62,7 @@ const maxQueryLimit = 10000
 func (s *Server) handleQueryResults(w http.ResponseWriter, r *http.Request) {
 	if s.queryStore == nil {
 		httpError(w, http.StatusNotImplemented, errors.New(
-			"the configured result store does not support queries; run mavbenchd with -store-backend segment (see docs/STORE.md)"))
+			"the configured result store does not support queries; run mavbenchd with -store-dir (see docs/STORE.md)"))
 		return
 	}
 	q, metricNames, err := parseResultsQuery(r.URL.Query())

@@ -154,15 +154,16 @@ func TestQueryResultsEndToEnd(t *testing.T) {
 }
 
 // TestQueryResultsRequiresQueryableStore pins the 501 contract: a server on
-// the default memory cache (or any non-segment store) has no query surface.
+// the default memory cache has no query surface, and the error names the
+// flag that gives it one.
 func TestQueryResultsRequiresQueryableStore(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	var e errorResponse
 	if code := queryJSON(t, ts.URL+"/v1/results", &e); code != http.StatusNotImplemented {
 		t.Fatalf("query on memory-cache server = %d, want 501", code)
 	}
-	if !strings.Contains(e.Error, "store") {
-		t.Errorf("501 error body %q does not explain the store backend", e.Error)
+	if !strings.Contains(e.Error, "-store-dir") {
+		t.Errorf("501 error body %q does not name -store-dir", e.Error)
 	}
 }
 

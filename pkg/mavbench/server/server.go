@@ -11,7 +11,7 @@
 //	GET  /v1/workloads                 registered workloads and valid knob values
 //	GET  /v1/scenarios                 the difficulty-graded scenario catalog
 //	GET  /v1/specs/{hash}              canonical spec for a known content address
-//	GET  /v1/results                   query the result store (segment backend only; see docs/STORE.md)
+//	GET  /v1/results                   query the persistent result store (mavbenchd -store-dir; see docs/STORE.md)
 //	POST /v1/workers                   register a fleet worker ({"url": ...})
 //	GET  /v1/workers                   fleet status
 //	POST /v1/workers/{id}/heartbeat    worker liveness
@@ -22,7 +22,7 @@
 // Results stream incrementally: a client reading the NDJSON response sees
 // each run's result the moment it completes, long before the campaign
 // finishes. Submitting the same spec twice (across campaigns) is served from
-// the shared content-addressed store without re-simulating.
+// the server's content-addressed store without re-simulating.
 //
 // When workers have registered (see pkg/mavbench/distrib and the mavbenchd
 // -worker flag), submitted campaigns are sharded across the fleet instead of
@@ -66,8 +66,10 @@ type Config struct {
 	Workers int
 	// Store is the content-addressed result store; nil installs a bounded
 	// in-memory cache (4096 entries, FIFO eviction) unless DisableCache is
-	// set. Point it at a mavbench.DiskStore to persist results and share
-	// them across a fleet.
+	// set. A resultdb segment store persists results and enables
+	// GET /v1/results. On a fleet only the coordinator needs one: it
+	// consults the store before dispatching and stores every result its
+	// workers return.
 	Store mavbench.ResultStore
 	// DisableCache turns the result store off entirely.
 	DisableCache bool
@@ -97,8 +99,8 @@ type Config struct {
 	// FleetToken, when non-empty, is required (as "Authorization: Bearer
 	// <token>") on the worker-registry endpoints — registration, heartbeat,
 	// drain and deregistration — so only trusted workers can join the fleet
-	// and feed results into the shared store. Empty means open registration;
-	// see docs/DISTRIBUTED.md for the trust model.
+	// and feed results into the coordinator's store. Empty means open
+	// registration; see docs/DISTRIBUTED.md for the trust model.
 	FleetToken string
 	// DisableLocalFallback keeps campaigns failing (instead of running
 	// in-process) when every fleet worker is unavailable mid-campaign.

@@ -5,12 +5,12 @@ package mavbench
 // (including the seed) and runs are deterministic, a stored result is
 // bit-identical to re-simulating — campaigns therefore serve repeated specs
 // from the store without running them. Implementations must be safe for
-// concurrent use; campaigns call them from every worker, and the mavbenchd
-// fleet calls one store from many processes.
+// concurrent use; campaigns call them from every worker.
 //
-// Two implementations ship with the package: MemoryCache (in-process,
-// optionally bounded) and DiskStore (persistent, one file per spec hash,
-// shareable between the processes of a worker fleet).
+// MemoryCache (in-process, optionally bounded) ships with this package; the
+// persistent implementation is the segment store in
+// mavbench/pkg/mavbench/resultdb, which a mavbenchd fleet keeps at its
+// coordinator only.
 type ResultStore interface {
 	// Get returns the stored result for a spec hash.
 	Get(hash string) (Result, bool)

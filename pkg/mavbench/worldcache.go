@@ -13,9 +13,9 @@ import (
 // obstacle, patrol and RNG state exactly (pinned by tests).
 //
 // The cache is a size-bounded in-process LRU with an optional
-// content-addressed disk spill tier (<world-hash>.json snapshots, atomic
-// writes — the DiskStore pattern), which lets worlds survive restarts and be
-// shared across the processes of a fleet worker box. Construct with
+// content-addressed disk spill tier (<world-hash>.json snapshots, written
+// to a temp file and renamed into place), which lets worlds survive restarts
+// and be shared across the processes of a fleet worker box. Construct with
 // NewWorldCache, or use the process-wide DefaultWorldCache that campaigns
 // pick up automatically. Safe for concurrent use; runs that miss a world
 // while another run is building it wait for that one build.

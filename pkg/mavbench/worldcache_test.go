@@ -2,10 +2,26 @@ package mavbench
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 
 	"mavbench/internal/core"
 )
+
+// sameJSON reports whether two values marshal identically — the equality that
+// matters for wire-visible results (Report holds maps, so == won't do).
+func sameJSON(t *testing.T, a, b any) bool {
+	t.Helper()
+	ja, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jb, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(ja) == string(jb)
+}
 
 // TestWorldCacheBitIdenticalToCold is the cache's correctness contract: a
 // compute-axis sweep (one world, several operating points) run with a warm

@@ -9,7 +9,7 @@
 //     validation error or panic is not);
 //   - stable content addresses: the Spec.Hash of every cell is pinned, so an
 //     accidental change to the spec canonicalization (which would silently
-//     invalidate every shared disk store and fleet dedup key) fails here
+//     invalidate every persistent result store and fleet dedup key) fails here
 //     with a readable diff.
 //
 // Regenerate (only when intentionally changing the spec schema or the
