@@ -50,7 +50,6 @@ func main() {
 	noCache := flag.Bool("no-cache", false, "disable the content-addressed result store")
 	storeDir := flag.String("store-dir", "", "persist results in the segment store at this directory and serve GET /v1/results (coordinator only; one process per directory — see docs/STORE.md)")
 	worldCacheMB := flag.Int64("world-cache-mb", 256, "in-memory world cache bound, in MiB (0 disables world caching)")
-	worldCacheDir := flag.String("world-cache-dir", "", "spill built worlds to this directory so they survive restarts (optional)")
 	workerMode := flag.Bool("worker", false, "run as a fleet worker: register with the -join coordinator and heartbeat")
 	join := flag.String("join", "", "coordinator base URL to join (requires -worker)")
 	advertise := flag.String("advertise", "", "URL the coordinator should dispatch to (default http://127.0.0.1:<port of -addr>)")
@@ -120,12 +119,8 @@ func main() {
 	}
 	if *worldCacheMB <= 0 {
 		cfg.DisableWorldCache = true
-	} else if *worldCacheMB != 256 || *worldCacheDir != "" {
-		wcOpts := []mavbench.WorldCacheOption{mavbench.WithWorldCacheMaxBytes(*worldCacheMB << 20)}
-		if *worldCacheDir != "" {
-			wcOpts = append(wcOpts, mavbench.WithWorldCacheDir(*worldCacheDir))
-		}
-		cfg.WorldCache = mavbench.NewWorldCache(wcOpts...)
+	} else if *worldCacheMB != 256 {
+		cfg.WorldCache = mavbench.NewWorldCache(mavbench.WithWorldCacheMaxBytes(*worldCacheMB << 20))
 	}
 
 	srv := server.New(cfg)

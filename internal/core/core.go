@@ -11,8 +11,6 @@
 package core
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -399,46 +397,6 @@ type Result struct {
 	// in vehicle-index order; Report is then their telemetry.Merge aggregate.
 	// Nil for single-vehicle runs.
 	VehicleReports []telemetry.Report
-	// Err lets a caller that collects many Results keep a failed run in its
-	// slot; the Report is zero in that case. Run and RunWithCache report
-	// errors through their error return instead. JSON encodes it as an
-	// "error" string (see MarshalJSON) so failed runs stay visible in
-	// serialized sweep output.
-	Err error
-}
-
-// resultJSON is the wire form of Result: identical fields, with the error
-// flattened to a string so failed runs survive serialization instead of
-// silently encoding as a zero report.
-type resultJSON struct {
-	Report         telemetry.Report
-	Params         Params
-	PlatformName   string
-	VehicleReports []telemetry.Report `json:",omitempty"`
-	Error          string             `json:"error,omitempty"`
-}
-
-// MarshalJSON encodes the result with Err rendered as an "error" string.
-func (r Result) MarshalJSON() ([]byte, error) {
-	out := resultJSON{Report: r.Report, Params: r.Params, PlatformName: r.PlatformName, VehicleReports: r.VehicleReports}
-	if r.Err != nil {
-		out.Error = r.Err.Error()
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON decodes the wire form, restoring a non-empty "error" string
-// as an opaque error value.
-func (r *Result) UnmarshalJSON(data []byte) error {
-	var in resultJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	*r = Result{Report: in.Report, Params: in.Params, PlatformName: in.PlatformName, VehicleReports: in.VehicleReports}
-	if in.Error != "" {
-		r.Err = errors.New(in.Error)
-	}
-	return nil
 }
 
 // Run executes one benchmark run described by p.

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/json"
-	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -165,32 +163,6 @@ func TestValidateRejectsUnknownNames(t *testing.T) {
 	// Run surfaces the same error instead of defaulting silently.
 	if _, err := Run(Params{Workload: fw.name, Detector: "yol"}); err == nil {
 		t.Error("Run accepted an unknown detector")
-	}
-}
-
-func TestResultJSONCarriesError(t *testing.T) {
-	res := Result{Params: Params{Workload: "w"}, Err: errors.New("mission exploded")}
-	data, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "mission exploded") {
-		t.Fatalf("marshaled result hides the error: %s", data)
-	}
-	var back Result
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Err == nil || back.Err.Error() != "mission exploded" {
-		t.Errorf("round-tripped error = %v", back.Err)
-	}
-	// Successful results omit the error field entirely.
-	data, err = json.Marshal(Result{PlatformName: "tx2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(data), `"error"`) {
-		t.Errorf("successful result serialized an error field: %s", data)
 	}
 }
 

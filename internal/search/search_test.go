@@ -272,64 +272,3 @@ func TestCalibratorDegenerateFamily(t *testing.T) {
 		t.Errorf("degenerate family difficulty = %v, want 0", d)
 	}
 }
-
-func TestSynthesizeDeterministic(t *testing.T) {
-	a, err := Synthesize("urban", 11, 4, DefaultSpace(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != 4 {
-		t.Fatalf("synthesized %d scenarios, want 4", len(a))
-	}
-	b, err := Synthesize("urban", 11, 4, DefaultSpace(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("Synthesize not deterministic")
-	}
-	seeds := map[int64]bool{}
-	for _, s := range a {
-		if s.Family != "urban" {
-			t.Errorf("family %q, want urban", s.Family)
-		}
-		if seeds[s.Seed] {
-			t.Errorf("duplicate generator seed %d", s.Seed)
-		}
-		seeds[s.Seed] = true
-	}
-}
-
-func TestSynthesizeBand(t *testing.T) {
-	band := [2]float64{-0.75, 0.75}
-	got, err := Synthesize("urban", 3, 3, DefaultSpace(), &band)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range got {
-		if s.Difficulty < band[0] || s.Difficulty > band[1] {
-			t.Errorf("difficulty %v outside band %v", s.Difficulty, band)
-		}
-	}
-	// A space pinned near the sparse corner cannot reach a high band.
-	tiny := Space{Dims: []Dimension{
-		{Name: "obstacle_density", Min: 0.3, Max: 0.301},
-		{Name: "clutter_scale", Min: 0.5, Max: 0.501},
-		{Name: "dynamic_count", Min: 0.25, Max: 0.251},
-		{Name: "dynamic_speed", Min: 0.4, Max: 0.401},
-	}}
-	hard := [2]float64{1.5, 2}
-	if _, err := Synthesize("urban", 3, 2, tiny, &hard); err == nil {
-		t.Error("unreachable band did not error")
-	}
-	inverted := [2]float64{1, -1}
-	if _, err := Synthesize("urban", 3, 2, DefaultSpace(), &inverted); err == nil {
-		t.Error("inverted band accepted")
-	}
-	if got, err := Synthesize("urban", 3, 0, DefaultSpace(), nil); err != nil || got != nil {
-		t.Errorf("n=0 returned (%v, %v), want (nil, nil)", got, err)
-	}
-	if _, err := Synthesize("urban", 3, 2, Space{}, nil); err == nil {
-		t.Error("invalid space accepted")
-	}
-}

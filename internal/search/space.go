@@ -1,7 +1,7 @@
-// Package search is the adversarial scenario-search engine: procedural
-// synthesis of difficulty-knob vectors under constraints, a calibration pass
-// that keeps synthesized "difficulty" comparable across environment families,
-// and a deterministic cross-entropy optimizer that hunts the knob space for
+// Package search is the adversarial scenario-search engine: a constrained
+// space of difficulty-knob vectors, a calibration pass that keeps a knob
+// vector's "difficulty" comparable across environment families, and a
+// deterministic cross-entropy optimizer that hunts the knob space for
 // the settings that maximize an objective (collision rate, quality-of-flight
 // drop) at a chosen compute operating point. The axis it searches extends
 // the environment sensitivity the paper studies with hand-picked maps
@@ -9,10 +9,9 @@
 // automatically discovered difficulty frontier.
 //
 // Everything here is deterministic by construction: all randomness flows from
-// explicit int64 seeds through math/rand sources (and world seeds through
-// core.DeriveSeed), candidate vectors are quantized before evaluation, and
-// reductions run in a fixed order — the same seed and budget always produce a
-// byte-identical frontier. The package deliberately knows nothing about
+// explicit int64 seeds through math/rand sources, candidate vectors are
+// quantized before evaluation, and reductions run in a fixed order — the same
+// seed and budget always produce a byte-identical frontier. The package deliberately knows nothing about
 // campaigns or specs; pkg/mavbench supplies the simulation-backed objective
 // and owns the public search API.
 package search

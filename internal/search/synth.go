@@ -1,21 +1,15 @@
 package search
 
 import (
-	"fmt"
-	"math/rand"
-
-	"mavbench/internal/core"
 	"mavbench/internal/env"
 	"mavbench/internal/geom"
 )
 
-// This file is the procedural-synthesis half of the engine: sample knob
-// vectors and generator seeds under box constraints, then calibrate each
-// sample's *effective* difficulty by probing the world it builds. Raw knob
-// multipliers are not comparable across families — obstacle_density 2 turns
-// the urban grid into a maze but barely dents the open farm — so synthesized
-// scenarios carry a calibrated difficulty on the same [-1, +1] scale as the
-// hand-graded presets: -1 ≡ the family's sparse anchor, +1 ≡ its dense
+// This file calibrates a knob vector's *effective* difficulty by probing the
+// world it builds. Raw knob multipliers are not comparable across families —
+// obstacle_density 2 turns the urban grid into a maze but barely dents the
+// open farm — so a calibrated difficulty sits on the same [-1, +1] scale as
+// the hand-graded presets: -1 ≡ the family's sparse anchor, +1 ≡ its dense
 // anchor, measured by world obstruction rather than promised by the knobs.
 
 // probeScale is the world scale calibration probes are built at: small enough
@@ -123,60 +117,4 @@ func (c *Calibrator) Difficulty(k env.Knobs) (float64, error) {
 		d = 2
 	}
 	return Quantize(d), nil
-}
-
-// Synthesized is one procedurally generated scenario: a family, a generator
-// seed, a knob vector and the calibrated difficulty of the world they build.
-type Synthesized struct {
-	Family     string    `json:"family"`
-	Seed       int64     `json:"seed"`
-	Knobs      env.Knobs `json:"knobs"`
-	Difficulty float64   `json:"difficulty"`
-}
-
-// Synthesize samples n scenarios for the family: knob vectors drawn uniformly
-// from the space (quantized, constraint-clamped) paired with generator seeds
-// derived via core.DeriveSeed, each calibrated against the family's anchors.
-// The band, when non-nil, keeps only samples whose calibrated difficulty
-// falls inside [band[0], band[1]] — sampling continues (bounded) until n
-// survivors exist or the attempt budget runs out. Deterministic per
-// (family, baseSeed, n, space, band).
-func Synthesize(family string, baseSeed int64, n int, space Space, band *[2]float64) ([]Synthesized, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	if err := space.Validate(); err != nil {
-		return nil, err
-	}
-	if band != nil && band[0] > band[1] {
-		return nil, fmt.Errorf("search: difficulty band [%g, %g] is empty", band[0], band[1])
-	}
-	cal, err := NewCalibrator(family, baseSeed)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(baseSeed))
-	var out []Synthesized
-	maxAttempts := n * 32
-	for attempt := 0; attempt < maxAttempts && len(out) < n; attempt++ {
-		v := make([]float64, len(space.Dims))
-		for d := range space.Dims {
-			v[d] = space.Dims[d].Min + rng.Float64()*(space.Dims[d].Max-space.Dims[d].Min)
-		}
-		k := KnobsFromVector(space.Clamp(v))
-		seed := core.DeriveSeed(baseSeed, "synth:"+family, 0, 0, attempt)
-		d, err := cal.Difficulty(k)
-		if err != nil {
-			return nil, err
-		}
-		if band != nil && (d < band[0] || d > band[1]) {
-			continue
-		}
-		out = append(out, Synthesized{Family: family, Seed: seed, Knobs: k, Difficulty: d})
-	}
-	if band != nil && len(out) < n {
-		return out, fmt.Errorf("search: only %d of %d synthesized scenarios fell in difficulty band [%g, %g] after %d samples",
-			len(out), n, band[0], band[1], maxAttempts)
-	}
-	return out, nil
 }

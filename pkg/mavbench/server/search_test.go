@@ -26,12 +26,13 @@ func postSearch(t *testing.T, ts *httptest.Server, body string) (int, []byte) {
 	return resp.StatusCode, buf
 }
 
+// searchBody is a small adversarial search: 7 missions in all.
+const searchBody = `{"workload": "package_delivery", "cores": 2, "freq_ghz": 0.8, "seed": 7,
+	"objective": "qof", "generations": 1, "population": 3, "repeats": 1}`
+
 func TestSearchEndpoint(t *testing.T) {
 	ts := startServer(t)
-	body := `{"workload": "package_delivery", "cores": 2, "freq_ghz": 0.8, "seed": 7,
-	          "objective": "qof", "generations": 1, "population": 3, "repeats": 1}`
-
-	status, buf := postSearch(t, ts, body)
+	status, buf := postSearch(t, ts, searchBody)
 	if status != http.StatusOK {
 		t.Fatalf("POST /v1/search = %d: %s", status, buf)
 	}
@@ -54,7 +55,7 @@ func TestSearchEndpoint(t *testing.T) {
 
 	// The endpoint is deterministic: the same request body returns the same
 	// frontier byte-for-byte.
-	status2, buf2 := postSearch(t, ts, body)
+	status2, buf2 := postSearch(t, ts, searchBody)
 	if status2 != http.StatusOK {
 		t.Fatalf("second POST /v1/search = %d: %s", status2, buf2)
 	}

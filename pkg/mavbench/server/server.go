@@ -102,9 +102,6 @@ type Config struct {
 	// and feed results into the coordinator's store. Empty means open
 	// registration; see docs/DISTRIBUTED.md for the trust model.
 	FleetToken string
-	// DisableLocalFallback keeps campaigns failing (instead of running
-	// in-process) when every fleet worker is unavailable mid-campaign.
-	DisableLocalFallback bool
 	// Tenants, when non-empty, switches POST /v1/campaigns to authenticated
 	// multi-tenant admission (X-API-Key). Empty preserves the open
 	// single-tenant behavior.
@@ -244,7 +241,7 @@ func New(cfg Config) *Server {
 		Fleet:         s.fleet,
 		Store:         s.cache,
 		Config:        cfg.Distrib,
-		FallbackLocal: !cfg.DisableLocalFallback,
+		FallbackLocal: true,
 		LocalWorkers:  cfg.Workers,
 		Hooks: distrib.Hooks{
 			BatchDone: func(_ string, _, _ int, elapsed time.Duration, err error) {
@@ -286,7 +283,7 @@ func (s *Server) initMetrics() {
 	s.mStoreMisses = s.reg.Counter("mavbench_store_misses_total",
 		"Result-store lookups that required simulation.")
 	s.reg.CounterFunc("mavbench_worldcache_hits_total",
-		"World-cache lookups served without building (memory or disk spill).",
+		"World-cache lookups served from memory without building.",
 		func() float64 { return float64(s.worldCacheStats().Hits) })
 	s.reg.CounterFunc("mavbench_worldcache_misses_total",
 		"World-cache lookups that built the world.",
@@ -513,7 +510,7 @@ func (s *Server) index(c *campaign) {
 // streaming endpoint); only Server.Close does, and a campaign interrupted
 // that way keeps its journal so a successor server resumes it.
 func (s *Server) startCampaign(c *campaign) {
-	stream := s.runStream(c.specs, c.jobOptions())
+	stream := s.runStream(s.baseCtx, c.specs, c.jobOptions())
 	go func() {
 		n := 0
 		for res := range stream {
@@ -722,19 +719,20 @@ func (s *Server) evictLocked() {
 	}
 }
 
-// runStream starts executing specs — sharded across the fleet when
-// dispatchable workers are registered, in-process otherwise — and returns
-// the merged completion-order result stream. Execution runs under the
-// server's base context, so Server.Close (not any request) cancels it.
-func (s *Server) runStream(specs []mavbench.Spec, opts distrib.JobOptions) <-chan mavbench.Result {
+// runStream starts executing specs under ctx — sharded across the fleet
+// when dispatchable workers are registered, in-process otherwise — and
+// returns the merged completion-order result stream.
+func (s *Server) runStream(ctx context.Context, specs []mavbench.Spec, opts distrib.JobOptions) <-chan mavbench.Result {
 	if s.fleet.DispatchableCount() > 0 {
-		return s.coord.StreamJob(s.baseCtx, specs, opts)
+		return s.coord.StreamJob(ctx, specs, opts)
 	}
-	eng := mavbench.NewCampaign(specs...).SetWorkers(s.cfg.Workers).SetWorldCache(s.worldCache)
-	if s.cache != nil {
-		eng.SetStore(s.cache)
-	}
-	return eng.Stream(s.baseCtx)
+	return s.localCampaign(specs).Stream(ctx)
+}
+
+// localCampaign is the in-process engine for specs: the server's worker
+// bound, world cache and result store.
+func (s *Server) localCampaign(specs []mavbench.Spec) *mavbench.Campaign {
+	return mavbench.NewCampaign(specs...).SetWorkers(s.cfg.Workers).SetWorldCache(s.worldCache).SetStore(s.cache)
 }
 
 // handleRun is the synchronous batch-run endpoint (POST /v1/run): the body
@@ -766,10 +764,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// Unlike POST /v1/campaigns, invalid specs are not rejected here: they
 	// surface as per-spec failed Results, exactly as the local engine
 	// reports them — the coordinator relays them verbatim.
-	eng := mavbench.NewCampaign(req.Specs...).SetWorkers(s.cfg.Workers).SetWorldCache(s.worldCache)
-	if s.cache != nil {
-		eng.SetStore(s.cache)
-	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -779,7 +773,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 	}
 	enc := json.NewEncoder(w)
-	for res := range eng.Stream(r.Context()) {
+	for res := range s.localCampaign(req.Specs).Stream(r.Context()) {
 		if err := enc.Encode(res); err != nil {
 			return // client gone; context cancellation stops the engine
 		}
@@ -825,19 +819,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	req.Workers = s.cfg.Workers
 
 	runner := func(ctx context.Context, specs []mavbench.Spec) ([]mavbench.Result, error) {
-		var stream <-chan mavbench.Result
-		if s.fleet.DispatchableCount() > 0 {
-			stream = s.coord.StreamJob(ctx, specs, distrib.JobOptions{})
-		} else {
-			eng := mavbench.NewCampaign(specs...).SetWorkers(s.cfg.Workers).SetWorldCache(s.worldCache)
-			if s.cache != nil {
-				eng.SetStore(s.cache)
-			}
-			stream = eng.Stream(ctx)
-		}
 		out := make([]mavbench.Result, len(specs))
 		n := 0
-		for res := range stream {
+		for res := range s.runStream(ctx, specs, distrib.JobOptions{}) {
 			if res.Index < 0 || res.Index >= len(specs) {
 				return nil, fmt.Errorf("search batch returned result index %d for %d specs", res.Index, len(specs))
 			}
@@ -1052,6 +1036,8 @@ func endpointName(path string) string {
 		return "campaign_status"
 	case path == "/v1/run":
 		return "run"
+	case path == "/v1/search":
+		return "search"
 	case path == "/v1/workloads":
 		return "workloads"
 	case path == "/v1/scenarios":

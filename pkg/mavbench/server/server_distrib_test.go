@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -296,6 +297,41 @@ func TestSubmittedCampaignShardsAcrossFleet(t *testing.T) {
 		if !res.OK() {
 			t.Errorf("spec %d failed: %v", res.Index, res.Err())
 		}
+	}
+	for _, st := range coordSrv.Fleet().Workers() {
+		if st.Dispatched == 0 {
+			t.Errorf("worker %s never received a batch", st.URL)
+		}
+	}
+}
+
+// TestSearchShardsAcrossFleet runs an adversarial search on a coordinator
+// with one registered worker: the candidate batches go to the worker, and
+// the frontier is byte-identical to a standalone server's.
+func TestSearchShardsAcrossFleet(t *testing.T) {
+	worker := newTestServer(t, Config{Workers: 1})
+	coordSrv := New(Config{})
+	coord := httptest.NewServer(coordSrv.Handler())
+	t.Cleanup(coord.Close)
+	resp, err := http.Post(coord.URL+"/v1/workers", "application/json", strings.NewReader(`{"url": "`+worker.URL+`"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("worker registration status = %d", resp.StatusCode)
+	}
+
+	status, fleetFrontier := postSearch(t, coord, searchBody)
+	if status != http.StatusOK {
+		t.Fatalf("fleet POST /v1/search = %d: %s", status, fleetFrontier)
+	}
+	status, localFrontier := postSearch(t, startServer(t), searchBody)
+	if status != http.StatusOK {
+		t.Fatalf("standalone POST /v1/search = %d: %s", status, localFrontier)
+	}
+	if !bytes.Equal(fleetFrontier, localFrontier) {
+		t.Errorf("fleet frontier differs from the standalone one:\n%s\n%s", fleetFrontier, localFrontier)
 	}
 	for _, st := range coordSrv.Fleet().Workers() {
 		if st.Dispatched == 0 {

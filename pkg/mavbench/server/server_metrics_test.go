@@ -46,7 +46,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	// Drive traffic: one campaign run twice (the repeat hits the store), one
-	// rejected submission, one 404.
+	// rejected submission, one 404, one malformed search.
 	body := specBody(wlName, 1)
 	for i := 0; i < 2; i++ {
 		resp := submitAs(t, ts, "key-o", body)
@@ -70,6 +70,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	nf.Body.Close()
+	bad, err := http.Post(ts.URL+"/v1/search", "application/json", strings.NewReader("{"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Body.Close()
 
 	text := scrape(t, ts)
 	for _, want := range []string{
@@ -77,6 +82,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`mavbench_http_requests_total{endpoint="campaigns",code="403"} 1`,
 		`mavbench_http_requests_total{endpoint="campaign_status",code="404"} 1`,
 		`mavbench_http_requests_total{endpoint="campaign_results",code="200"} 2`,
+		`mavbench_http_requests_total{endpoint="search",code="400"} 1`,
 		`mavbench_http_request_duration_seconds_count{endpoint="campaigns"} 3`,
 		`# TYPE mavbench_http_request_duration_seconds histogram`,
 		`# TYPE mavbench_dispatch_duration_seconds histogram`,
