@@ -237,8 +237,8 @@ func TestVehiclesOneEqualsLegacy(t *testing.T) {
 
 // TestVehicleWorldSharing pins the hash/cache split: fleets of every size
 // share the world of the single-drone spec (equal WorldHash, cache hits on a
-// fresh WorldCache) while their run identities stay distinct (ComputeHash and
-// Spec.Hash differ per fleet size).
+// fresh WorldCache) while their run identities stay distinct (Spec.Hash
+// differs per fleet size).
 func TestVehicleWorldSharing(t *testing.T) {
 	mkSpec := func(vehicles int) mavbench.Spec {
 		spec, err := mavbench.NewSpec("search_and_rescue",
@@ -254,9 +254,6 @@ func TestVehicleWorldSharing(t *testing.T) {
 	if single.WorldHash() != duo.WorldHash() || duo.WorldHash() != trio.WorldHash() {
 		t.Fatalf("WorldHash must not depend on fleet size: %s / %s / %s",
 			single.WorldHash(), duo.WorldHash(), trio.WorldHash())
-	}
-	if single.ComputeHash() == duo.ComputeHash() || duo.ComputeHash() == trio.ComputeHash() {
-		t.Errorf("ComputeHash must distinguish fleet sizes")
 	}
 	if single.Hash() == duo.Hash() || duo.Hash() == trio.Hash() {
 		t.Errorf("Spec.Hash must distinguish fleet sizes")

@@ -7,27 +7,46 @@ import (
 )
 
 // CloudLink models the network between the MAV's edge computer and a cloud
-// (or local co-processing) server. The paper's performance case study uses a
-// 1 Gb/s LAN standing in for a future 5G link.
+// (or local co-processing) server, in plain wire-friendly units. The paper's
+// performance case study uses a 1 Gb/s LAN standing in for a future 5G link.
 type CloudLink struct {
-	Name          string
-	BandwidthMbps float64       // usable throughput in megabits per second
-	RTT           time.Duration // round-trip latency
+	Name string `json:"name,omitempty"`
+	// BandwidthMbps is the usable throughput in megabits per second.
+	BandwidthMbps float64 `json:"bandwidth_mbps"`
+	// RTTMillis is the round-trip latency in milliseconds. The engine flies
+	// it in whole nanoseconds (see RTT).
+	RTTMillis float64 `json:"rtt_ms,omitempty"`
 	// DropProbability is the chance that a request/response exchange must be
 	// retried once (adds one RTT plus retransmission of the payload).
-	DropProbability float64
+	DropProbability float64 `json:"drop_probability,omitempty"`
 }
 
 // LAN1Gbps returns the paper's cloud-offload link: a 1 Gb/s LAN with a short
 // round-trip time, emulating a future 5G deployment.
 func LAN1Gbps() CloudLink {
-	return CloudLink{Name: "lan-1gbps", BandwidthMbps: 1000, RTT: 2 * time.Millisecond}
+	return CloudLink{Name: "lan-1gbps", BandwidthMbps: 1000, RTTMillis: 2}
 }
 
 // LTE returns a contemporary cellular link, useful for sensitivity studies
 // around the offloading case study.
 func LTE() CloudLink {
-	return CloudLink{Name: "lte", BandwidthMbps: 20, RTT: 60 * time.Millisecond}
+	return CloudLink{Name: "lte", BandwidthMbps: 20, RTTMillis: 60}
+}
+
+// RTT returns the round-trip latency the engine flies: rtt_ms in whole
+// nanoseconds, rounded to the nearest one.
+func (l CloudLink) RTT() time.Duration {
+	return time.Duration(math.Round(l.RTTMillis * float64(time.Millisecond)))
+}
+
+// Normalize returns the link with rtt_ms on the whole-nanosecond grid the
+// engine flies, so normalizing twice changes nothing. An rtt_ms of 2^50 ns
+// (13 days) or more is kept as given: float64 cannot round-trip that grid.
+func (l CloudLink) Normalize() CloudLink {
+	if math.Abs(l.RTTMillis*float64(time.Millisecond)) < 1<<50 {
+		l.RTTMillis = float64(l.RTT()) / float64(time.Millisecond)
+	}
+	return l
 }
 
 // Validate reports whether the link parameters are usable.
@@ -35,8 +54,11 @@ func (l CloudLink) Validate() error {
 	if !(l.BandwidthMbps > 0) || math.IsInf(l.BandwidthMbps, 1) {
 		return fmt.Errorf("compute: cloud link %q has bandwidth %v Mb/s, want a finite value > 0", l.Name, l.BandwidthMbps)
 	}
-	if l.RTT < 0 {
+	if l.RTTMillis < 0 {
 		return fmt.Errorf("compute: cloud link %q has negative RTT", l.Name)
+	}
+	if !(l.RTTMillis*float64(time.Millisecond) < math.MaxInt64) { // NaN fails too
+		return fmt.Errorf("compute: cloud link %q rtt_ms = %g overflows a time.Duration", l.Name, l.RTTMillis)
 	}
 	if !(l.DropProbability >= 0 && l.DropProbability < 1) {
 		return fmt.Errorf("compute: cloud link %q has invalid drop probability %v", l.Name, l.DropProbability)
@@ -59,9 +81,10 @@ func (l CloudLink) TransferTime(payloadBytes int) time.Duration {
 // response of responseBytes, including one RTT of propagation latency and the
 // expected retransmission overhead.
 func (l CloudLink) RoundTripTime(requestBytes, responseBytes int) time.Duration {
-	base := l.RTT + l.TransferTime(requestBytes) + l.TransferTime(responseBytes)
+	rtt := l.RTT()
+	base := rtt + l.TransferTime(requestBytes) + l.TransferTime(responseBytes)
 	if l.DropProbability > 0 {
-		retry := l.RTT + l.TransferTime(requestBytes)
+		retry := rtt + l.TransferTime(requestBytes)
 		base += time.Duration(l.DropProbability * float64(retry))
 	}
 	return base

@@ -341,7 +341,7 @@ func TestCloudLinkValidate(t *testing.T) {
 	if err := (CloudLink{BandwidthMbps: 0}).Validate(); err == nil {
 		t.Error("expected error for zero bandwidth")
 	}
-	if err := (CloudLink{BandwidthMbps: 10, RTT: -time.Second}).Validate(); err == nil {
+	if err := (CloudLink{BandwidthMbps: 10, RTTMillis: -1000}).Validate(); err == nil {
 		t.Error("expected error for negative RTT")
 	}
 	if err := (CloudLink{BandwidthMbps: 10, DropProbability: 1}).Validate(); err == nil {

@@ -201,8 +201,8 @@ func (p Platform) DynamicPowerW(utilization float64) float64 {
 // OperatingPoint is a (cores, frequency) pair, the unit of the paper's
 // core/frequency sweeps (Figures 10-15).
 type OperatingPoint struct {
-	Cores   int
-	FreqGHz float64
+	Cores   int     `json:"cores"`
+	FreqGHz float64 `json:"freq_ghz"`
 }
 
 // String implements fmt.Stringer.

@@ -12,7 +12,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strings"
 	"sync"
 
 	"mavbench/internal/compute"
@@ -22,73 +24,77 @@ import (
 	"mavbench/internal/telemetry"
 )
 
-// Params is the full knob set for one benchmark run.
+// Params is the full knob set for one benchmark run. The public API exposes
+// it as mavbench.Spec, so its JSON names are the wire form of every spec.
+// A zero field means "benchmark default"; Normalize fills the defaults in.
 type Params struct {
 	// Workload selects the benchmark application (see Workloads()).
-	Workload string
-	// Cores and FreqGHz select the TX2 operating point.
-	Cores   int
-	FreqGHz float64
+	Workload string `json:"workload"`
+	// Cores and FreqGHz select the companion-computer operating point
+	// (0 = 4 cores @ 2.2 GHz).
+	Cores   int     `json:"cores,omitempty"`
+	FreqGHz float64 `json:"freq_ghz,omitempty"`
 	// Seed makes runs reproducible; it also seeds world generation.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 
-	// Plug-and-play kernels.
-	Detector  string // yolo | hog | haar
-	Localizer string // ground_truth | gps | orb_slam2
-	Planner   string // rrt | rrt_connect | prm
+	// Plug-and-play kernels (see Detectors/Localizers/Planners).
+	Detector  string `json:"detector,omitempty"`  // yolo | hog | haar
+	Localizer string `json:"localizer,omitempty"` // ground_truth | gps | orb_slam2
+	Planner   string `json:"planner,omitempty"`   // rrt | rrt_connect | prm
 
 	// OctomapResolution is the occupancy-map voxel size in meters
 	// (0 = the benchmark default of 0.15 m).
-	OctomapResolution float64
+	OctomapResolution float64 `json:"octomap_resolution,omitempty"`
 	// DynamicResolution enables the energy case study's runtime that switches
 	// between OctomapResolution and CoarseResolution with obstacle density.
-	DynamicResolution bool
+	DynamicResolution bool `json:"dynamic_resolution,omitempty"`
 	// CoarseResolution is the coarse setting of the dynamic policy
 	// (0 = 0.80 m).
-	CoarseResolution float64
+	CoarseResolution float64 `json:"coarse_resolution,omitempty"`
 
-	// DepthNoiseStd enables the reliability case study's depth noise (m).
-	DepthNoiseStd float64
+	// DepthNoiseStd injects Gaussian depth-camera noise (meters), the
+	// reliability case study's knob.
+	DepthNoiseStd float64 `json:"depth_noise_std,omitempty"`
 
-	// CloudOffload offloads the planning-stage kernels to a cloud server over
-	// CloudLink (zero value = the paper's 1 Gb/s LAN).
-	CloudOffload bool
-	CloudLink    compute.CloudLink
+	// CloudOffload runs the planning-stage kernels on a cloud server reached
+	// over CloudLink (nil = the paper's 1 Gb/s LAN).
+	CloudOffload bool               `json:"cloud_offload,omitempty"`
+	CloudLink    *compute.CloudLink `json:"cloud_link,omitempty"`
 
 	// Environment overrides the workload's default world ("urban", "indoor",
-	// "farm", "disaster", "park", "empty"); empty string keeps the default.
-	Environment string
+	// "farm", "disaster", "park", "empty"); empty keeps the default.
+	Environment string `json:"environment,omitempty"`
 	// Scenario selects a named difficulty-graded environment preset from the
 	// catalog ("urban-dense"; see env.Scenarios). A bare family name selects
 	// its default grade. Empty keeps Environment (or the workload default) at
 	// default difficulty. Scenario and Environment are mutually exclusive —
 	// a scenario already names its family.
-	Scenario string
+	Scenario string `json:"scenario,omitempty"`
 	// Difficulty overrides the scenario's grade on the continuous
 	// [-1, 1] scale (-1 = sparsest, +1 = densest). 0 keeps the scenario's
 	// graded difficulty (or the default grade when no scenario is set).
-	Difficulty float64
-	// ScenarioKnobs are per-knob overrides on top of the graded difficulty;
-	// zero fields keep the graded values (see env.Knobs).
-	ScenarioKnobs env.Knobs
+	Difficulty float64 `json:"difficulty,omitempty"`
+	// ScenarioKnobs override individual difficulty knobs on top of the
+	// graded difficulty; nil or zero fields keep the graded values (see
+	// env.Knobs).
+	ScenarioKnobs *env.Knobs `json:"scenario_knobs,omitempty"`
 	// WorldScale shrinks (<1) or grows (>1) the mission extent; tests use
 	// small scales to stay fast. 0 means 1.0.
-	WorldScale float64
+	WorldScale float64 `json:"world_scale,omitempty"`
 
 	// MaxMissionTimeS bounds the mission (0 = workload default).
-	MaxMissionTimeS float64
+	MaxMissionTimeS float64 `json:"max_mission_time_s,omitempty"`
 	// KeepTraces enables power/phase time-series collection.
-	KeepTraces bool
+	KeepTraces bool `json:"keep_traces,omitempty"`
 
 	// Vehicles is the number of drones flying the mission together (0 and 1
 	// both mean the classic single-vehicle run; Normalize canonicalizes to 0).
 	// With N ≥ 2 the run becomes a fleet mission: one shared world, N
 	// independent simulators in lockstep with inter-vehicle collision checks,
 	// per-drone seeds derived by DeriveVehicleSeed, and coordinated workload
-	// variants (see docs/MULTIVEHICLE.md). Vehicle count is a compute-side
-	// knob: it joins ComputeHash but not WorldHash, so fleets of every size
-	// share one cached world.
-	Vehicles int
+	// variants (see docs/MULTIVEHICLE.md). Vehicle count joins Hash but not
+	// WorldHash, so fleets of every size share one cached world.
+	Vehicles int `json:"vehicles,omitempty"`
 }
 
 // MaxVehicles bounds the fleet size; larger swarms exhaust small worlds and
@@ -136,13 +142,45 @@ func canonicalName(name string, valid []string) (string, bool) {
 	return name, false
 }
 
-// Validate rejects unknown workload, kernel and environment names with a
-// descriptive error listing the valid values. It is the single place where
-// names are checked: core.Run and the public pkg/mavbench Spec builder both
-// call it, so bad input fails loudly at the API boundary instead of being
-// silently defaulted deep inside a run. Empty kernel fields are allowed
-// (Normalize fills them); an empty Environment keeps the workload default.
+// Validate checks every knob and rejects unknown workload, kernel and
+// environment names with a descriptive error listing the valid values. It is
+// the single validator: core.Run and mavbench.Spec both call it, so bad input
+// fails loudly at the API boundary instead of being silently defaulted deep
+// inside a run. Empty kernel fields are allowed (Normalize fills them); an
+// empty Environment keeps the workload default. The range and cloud-link
+// messages carry the public package's prefix: Spec.Validate reports them.
 func (p Params) Validate() error {
+	if strings.TrimSpace(p.Workload) == "" {
+		return fmt.Errorf("mavbench: spec has no workload (available: %v)", Workloads())
+	}
+	res := p.Normalize() // the resolutions the engine flies, defaults filled
+	switch {
+	case p.Cores < 0 || p.Cores > 8:
+		return fmt.Errorf("mavbench: cores = %d out of range [0, 8] (0 = default, paper sweeps 2-4)", p.Cores)
+	case !inRange(p.FreqGHz, 0, 4):
+		return fmt.Errorf("mavbench: freq_ghz = %g out of range [0, 4] (0 = default, paper sweeps 0.8-2.2)", p.FreqGHz)
+	case !inRange(p.OctomapResolution, 0, 2):
+		return fmt.Errorf("mavbench: octomap_resolution = %g m out of range [0, 2]", p.OctomapResolution)
+	case !inRange(p.CoarseResolution, 0, 5):
+		return fmt.Errorf("mavbench: coarse_resolution = %g m out of range [0, 5]", p.CoarseResolution)
+	case p.DynamicResolution && res.CoarseResolution < res.OctomapResolution:
+		return fmt.Errorf("mavbench: dynamic resolution needs coarse (%g m) >= fine (%g m)",
+			res.CoarseResolution, res.OctomapResolution)
+	case !inRange(p.DepthNoiseStd, 0, 10):
+		return fmt.Errorf("mavbench: depth_noise_std = %g m out of range [0, 10]", p.DepthNoiseStd)
+	case !inRange(p.WorldScale, 0, 10):
+		return fmt.Errorf("mavbench: world_scale = %g out of range [0, 10]", p.WorldScale)
+	case !inRange(p.MaxMissionTimeS, 0, math.MaxFloat64):
+		return fmt.Errorf("mavbench: max_mission_time_s = %g must be finite and >= 0", p.MaxMissionTimeS)
+	}
+	if l := p.CloudLink; l != nil {
+		if math.IsNaN(l.RTTMillis) || math.IsInf(l.RTTMillis, 0) {
+			return fmt.Errorf("mavbench: cloud link %q rtt_ms = %g is not finite", l.Name, l.RTTMillis)
+		}
+		if err := l.Validate(); err != nil {
+			return fmt.Errorf("mavbench: %w", err)
+		}
+	}
 	if _, err := Lookup(p.Workload); err != nil {
 		return err
 	}
@@ -181,25 +219,37 @@ func (p Params) Validate() error {
 		return fmt.Errorf("core: difficulty = %g out of range [%g, %g] (0 = scenario default)",
 			p.Difficulty, env.MinDifficulty, env.MaxDifficulty)
 	}
-	if err := validateKnob("obstacle_density", p.ScenarioKnobs.ObstacleDensity); err != nil {
+	k := p.knobs()
+	if err := validateKnob("obstacle_density", k.ObstacleDensity); err != nil {
 		return err
 	}
-	if err := validateKnob("clutter_scale", p.ScenarioKnobs.ClutterScale); err != nil {
+	if err := validateKnob("clutter_scale", k.ClutterScale); err != nil {
 		return err
 	}
-	if err := validateKnob("dynamic_count", p.ScenarioKnobs.DynamicCount); err != nil {
+	if err := validateKnob("dynamic_count", k.DynamicCount); err != nil {
 		return err
 	}
-	if err := validateKnob("dynamic_speed", p.ScenarioKnobs.DynamicSpeed); err != nil {
+	if err := validateKnob("dynamic_speed", k.DynamicSpeed); err != nil {
 		return err
 	}
-	if err := validateKnob("extent_scale", p.ScenarioKnobs.ExtentScale); err != nil {
+	if err := validateKnob("extent_scale", k.ExtentScale); err != nil {
 		return err
 	}
 	if p.Vehicles < 0 || p.Vehicles > MaxVehicles {
 		return fmt.Errorf("core: vehicles = %d out of range [0, %d] (0 or 1 = single drone)", p.Vehicles, MaxVehicles)
 	}
 	return nil
+}
+
+// inRange reports whether lo <= v <= hi; NaN is in no range.
+func inRange(v, lo, hi float64) bool { return v >= lo && v <= hi }
+
+// knobs returns the scenario knob overrides, zero when unset.
+func (p Params) knobs() env.Knobs {
+	if p.ScenarioKnobs == nil {
+		return env.Knobs{}
+	}
+	return *p.ScenarioKnobs
 }
 
 // maxKnob bounds every scenario knob multiplier; larger values produce
@@ -215,7 +265,9 @@ func validateKnob(name string, v float64) error {
 	return nil
 }
 
-// Normalize fills defaults.
+// Normalize returns the canonical form: every default filled in and alias
+// spellings resolved — the form the engine runs and the form Hash addresses.
+// The result never shares a pointer with p.
 func (p Params) Normalize() Params {
 	if p.Cores <= 0 {
 		p.Cores = 4
@@ -251,8 +303,15 @@ func (p Params) Normalize() Params {
 	if p.WorldScale <= 0 {
 		p.WorldScale = 1.0
 	}
-	if p.CloudLink.BandwidthMbps == 0 {
-		p.CloudLink = compute.LAN1Gbps()
+	link := compute.LAN1Gbps()
+	if p.CloudLink != nil && p.CloudLink.BandwidthMbps != 0 {
+		link = p.CloudLink.Normalize()
+	}
+	p.CloudLink = &link
+	if k := p.knobs(); k.IsZero() {
+		p.ScenarioKnobs = nil
+	} else {
+		p.ScenarioKnobs = &k
 	}
 	if p.Vehicles <= 1 {
 		// 0 is the canonical single-vehicle spelling — it keeps hashes and
@@ -307,12 +366,14 @@ func (p Params) EffectiveKnobs() env.Knobs {
 			preset = s.PresetKnobs
 		}
 	}
-	return env.GradeKnobs(d).OverrideWith(preset).OverrideWith(p.ScenarioKnobs)
+	return env.GradeKnobs(d).OverrideWith(preset).OverrideWith(p.knobs())
 }
 
 // Workload is a benchmark application. Implementations construct their
 // environment and wire their perception-planning-control node graph onto the
-// simulator; the runner owns everything else.
+// simulator; the runner owns everything else. The runner validates and
+// normalizes the Params before it calls World or Setup, so both receive the
+// canonical form and need not call Normalize themselves.
 //
 // A single registered instance serves every run, and a Runner pool calls
 // World and Setup from multiple goroutines concurrently — implementations
@@ -409,10 +470,10 @@ func Run(p Params) (Result, error) { return RunWithCache(p, nil) }
 // builds the world directly — results are bit-identical either way (the
 // clone reproduces obstacle, patrol and RNG state exactly; see env.Clone).
 func RunWithCache(p Params, wc *env.WorldCache) (Result, error) {
-	p = p.Normalize()
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
+	p = p.Normalize()
 	w, err := Lookup(p.Workload)
 	if err != nil {
 		return Result{}, err
@@ -446,7 +507,7 @@ func simConfig(p Params, platform compute.Platform) sim.Config {
 	if p.CloudOffload {
 		remote := compute.NewCostModel(compute.CloudServer())
 		edge := compute.NewCostModel(platform)
-		cfg.Offload = compute.NewOffloader(edge, remote, p.CloudLink,
+		cfg.Offload = compute.NewOffloader(edge, remote, *p.CloudLink,
 			compute.KernelShortestPath, compute.KernelFrontierExplore, compute.KernelSmoothing)
 	}
 	return cfg

@@ -96,7 +96,7 @@ func TestScenarioResolution(t *testing.T) {
 		t.Errorf("re-graded knobs = %+v", k)
 	}
 	// ...and explicit knob overrides win per field.
-	p.ScenarioKnobs = env.Knobs{DynamicSpeed: 3}
+	p.ScenarioKnobs = &env.Knobs{DynamicSpeed: 3}
 	if k := p.EffectiveKnobs(); k.DynamicSpeed != 3 || k.ObstacleDensity != env.GradeKnobs(env.MinDifficulty).ObstacleDensity {
 		t.Errorf("override knobs = %+v", k)
 	}
@@ -116,8 +116,8 @@ func TestValidateScenarioFields(t *testing.T) {
 		{Params{Workload: fw.name, Scenario: "urban-extreme"}, "unknown scenario"},
 		{Params{Workload: fw.name, Scenario: "urban-dense", Environment: "farm"}, "set one or the other"},
 		{Params{Workload: fw.name, Difficulty: 1.5}, "difficulty"},
-		{Params{Workload: fw.name, ScenarioKnobs: env.Knobs{ClutterScale: -1}}, "clutter_scale"},
-		{Params{Workload: fw.name, ScenarioKnobs: env.Knobs{ObstacleDensity: 99}}, "obstacle_density"},
+		{Params{Workload: fw.name, ScenarioKnobs: &env.Knobs{ClutterScale: -1}}, "clutter_scale"},
+		{Params{Workload: fw.name, ScenarioKnobs: &env.Knobs{ObstacleDensity: 99}}, "obstacle_density"},
 	}
 	for _, tc := range cases {
 		err := tc.p.Validate()

@@ -10,8 +10,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"mavbench/internal/compute"
 )
 
 // Runner is the bounded worker pool behind every MAVBench batch: the public
@@ -88,41 +86,6 @@ func DeriveVehicleSeed(runSeed int64, vehicle int) int64 {
 		seed = 1
 	}
 	return seed
-}
-
-// SweepParams expands a base parameter set into one run per operating point,
-// each with its seed derived from the point's identity.
-//
-// Because the seed feeds world generation, each heat-map cell flies a
-// different (but fixed) world realization; cross-cell comparisons therefore
-// mix compute effects with world variation. Callers that need the paper's
-// fixed-world methodology can build the Params slice by hand with a shared
-// Seed — determinism across worker counts only requires that seeds be fixed
-// before submission, not that they differ.
-func SweepParams(base Params, points []compute.OperatingPoint) []Params {
-	runs := make([]Params, len(points))
-	for i, pt := range points {
-		p := base
-		p.Cores = pt.Cores
-		p.FreqGHz = pt.FreqGHz
-		p.Seed = DeriveSeed(base.Seed, base.Workload, pt.Cores, pt.FreqGHz, 0)
-		runs[i] = p
-	}
-	return runs
-}
-
-// RepeatParams expands a base parameter set into n statistically independent
-// repeats of the same configuration, each with its seed derived from the
-// repeat index (the Table II pattern).
-func RepeatParams(base Params, n int) []Params {
-	norm := base.Normalize()
-	runs := make([]Params, n)
-	for i := range runs {
-		p := base
-		p.Seed = DeriveSeed(base.Seed, norm.Workload, norm.Cores, norm.FreqGHz, i)
-		runs[i] = p
-	}
-	return runs
 }
 
 // Parallel executes task(0..n-1) on the runner's worker pool and blocks until

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -60,38 +62,16 @@ func TestDeriveSeed(t *testing.T) {
 	}
 }
 
-func TestSweepParamsDerivesSeeds(t *testing.T) {
-	base := Params{Workload: "w", Seed: 9}
-	points := []compute.OperatingPoint{{Cores: 2, FreqGHz: 0.8}, {Cores: 4, FreqGHz: 2.2}}
-	runs := SweepParams(base, points)
-	if len(runs) != 2 {
-		t.Fatalf("runs = %d", len(runs))
+// sweepParams expands base into one run per operating point, each seeded
+// from the point's identity, the way mavbench.SweepSpecs does.
+func sweepParams(base Params, points []compute.OperatingPoint) []Params {
+	runs := make([]Params, len(points))
+	for i, pt := range points {
+		runs[i] = base
+		runs[i].Cores, runs[i].FreqGHz = pt.Cores, pt.FreqGHz
+		runs[i].Seed = DeriveSeed(base.Seed, base.Workload, pt.Cores, pt.FreqGHz, 0)
 	}
-	for i, r := range runs {
-		if r.Cores != points[i].Cores || r.FreqGHz != points[i].FreqGHz {
-			t.Errorf("run %d operating point = %d/%v", i, r.Cores, r.FreqGHz)
-		}
-		if want := DeriveSeed(9, "w", points[i].Cores, points[i].FreqGHz, 0); r.Seed != want {
-			t.Errorf("run %d seed = %d, want %d", i, r.Seed, want)
-		}
-	}
-	if runs[0].Seed == runs[1].Seed {
-		t.Error("distinct operating points must get distinct seeds")
-	}
-}
-
-func TestRepeatParamsDerivesSeeds(t *testing.T) {
-	runs := RepeatParams(Params{Workload: "w", Seed: 5}, 3)
-	if len(runs) != 3 {
-		t.Fatalf("runs = %d", len(runs))
-	}
-	seen := map[int64]bool{}
-	for _, r := range runs {
-		if seen[r.Seed] {
-			t.Errorf("duplicate repeat seed %d", r.Seed)
-		}
-		seen[r.Seed] = true
-	}
+	return runs
 }
 
 // TestRunnerDeterminism is the regression guard for the engine's core
@@ -100,7 +80,7 @@ func TestRepeatParamsDerivesSeeds(t *testing.T) {
 // scheduling.
 func TestRunnerDeterminism(t *testing.T) {
 	RegisterFor(t, &fakeWorkload{name: "det_workload"})
-	runs := SweepParams(Params{Workload: "det_workload", Seed: 42, MaxMissionTimeS: 30},
+	runs := sweepParams(Params{Workload: "det_workload", Seed: 42, MaxMissionTimeS: 30},
 		compute.PaperOperatingPoints())
 
 	sweep := func(workers int) []Result {
@@ -115,9 +95,18 @@ func TestRunnerDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("workers=1 and workers=8 diverge:\n%+v\nvs\n%+v", seq, par)
 	}
-	// Byte-level fingerprint (fmt prints maps in sorted key order).
-	if fmt.Sprintf("%+v", seq) != fmt.Sprintf("%+v", par) {
-		t.Fatal("formatted results differ between worker counts")
+	// Byte-level fingerprint. JSON, not %+v: Params holds pointers, and fmt
+	// would print their addresses.
+	seqJSON, err := json.Marshal(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parJSON, err := json.Marshal(par)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(seqJSON, parJSON) {
+		t.Fatal("serialized results differ between worker counts")
 	}
 	// And a re-run at the same worker count must be bit-identical too.
 	if !reflect.DeepEqual(par, sweep(8)) {
@@ -128,7 +117,7 @@ func TestRunnerDeterminism(t *testing.T) {
 func TestRunnerOrderingMatchesInput(t *testing.T) {
 	RegisterFor(t, &fakeWorkload{name: "order_workload"})
 	points := compute.PaperOperatingPoints()
-	res, errs := runPool(4, SweepParams(Params{Workload: "order_workload", Seed: 7, MaxMissionTimeS: 30}, points))
+	res, errs := runPool(4, sweepParams(Params{Workload: "order_workload", Seed: 7, MaxMissionTimeS: 30}, points))
 	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package ros
 
 import (
-	"sort"
 	"time"
 
 	"mavbench/internal/des"
@@ -21,17 +20,12 @@ type Executor struct {
 	busy  int
 	queue []*job
 
-	// accounting
-	busyCoreSeconds float64
-	kernelTotals    map[string]time.Duration
-	kernelCounts    map[string]uint64
-	nodeTotals      map[string]time.Duration
-	jobsRun         uint64
-	maxQueueLen     int
-	waitTotal       time.Duration
+	jobsRun   uint64
+	waitTotal time.Duration
 
 	// onKernel, when set, is invoked for every completed job with its kernel
-	// attribution. The telemetry recorder hooks in here.
+	// attribution. The telemetry recorder, which keeps the per-kernel
+	// ledger, hooks in here.
 	onKernel func(kernel, node string, cost time.Duration, start, end time.Duration)
 }
 
@@ -48,13 +42,7 @@ func NewExecutor(engine *des.Engine, cores int) *Executor {
 	if cores < 1 {
 		cores = 1
 	}
-	return &Executor{
-		engine:       engine,
-		cores:        cores,
-		kernelTotals: map[string]time.Duration{},
-		kernelCounts: map[string]uint64{},
-		nodeTotals:   map[string]time.Duration{},
-	}
+	return &Executor{engine: engine, cores: cores}
 }
 
 // Cores returns the number of virtual cores.
@@ -63,17 +51,8 @@ func (e *Executor) Cores() int { return e.cores }
 // Busy returns the number of cores currently occupied.
 func (e *Executor) Busy() int { return e.busy }
 
-// QueueLength returns the number of jobs waiting for a core.
-func (e *Executor) QueueLength() int { return len(e.queue) }
-
 // JobsRun returns the number of jobs completed so far.
 func (e *Executor) JobsRun() uint64 { return e.jobsRun }
-
-// BusyCoreSeconds returns the total core-seconds of compute charged so far.
-func (e *Executor) BusyCoreSeconds() float64 { return e.busyCoreSeconds }
-
-// MaxQueueLength returns the largest backlog observed.
-func (e *Executor) MaxQueueLength() int { return e.maxQueueLen }
 
 // TotalQueueWait returns the cumulative time jobs spent waiting for a core.
 func (e *Executor) TotalQueueWait() time.Duration { return e.waitTotal }
@@ -82,65 +61,6 @@ func (e *Executor) TotalQueueWait() time.Duration { return e.waitTotal }
 // job's kernel attribution, node, cost and execution interval.
 func (e *Executor) SetKernelObserver(fn func(kernel, node string, cost time.Duration, start, end time.Duration)) {
 	e.onKernel = fn
-}
-
-// KernelTotals returns a copy of the accumulated per-kernel compute time.
-func (e *Executor) KernelTotals() map[string]time.Duration {
-	out := make(map[string]time.Duration, len(e.kernelTotals))
-	for k, v := range e.kernelTotals {
-		out[k] = v
-	}
-	return out
-}
-
-// KernelCounts returns a copy of the per-kernel invocation counts.
-func (e *Executor) KernelCounts() map[string]uint64 {
-	out := make(map[string]uint64, len(e.kernelCounts))
-	for k, v := range e.kernelCounts {
-		out[k] = v
-	}
-	return out
-}
-
-// KernelMean returns the mean cost of the named kernel, or zero when it never
-// ran.
-func (e *Executor) KernelMean(kernel string) time.Duration {
-	n := e.kernelCounts[kernel]
-	if n == 0 {
-		return 0
-	}
-	return e.kernelTotals[kernel] / time.Duration(n)
-}
-
-// NodeTotals returns a copy of the accumulated per-node compute time.
-func (e *Executor) NodeTotals() map[string]time.Duration {
-	out := make(map[string]time.Duration, len(e.nodeTotals))
-	for k, v := range e.nodeTotals {
-		out[k] = v
-	}
-	return out
-}
-
-// KernelNames returns the kernels that have executed, sorted.
-func (e *Executor) KernelNames() []string {
-	names := make([]string, 0, len(e.kernelTotals))
-	for k := range e.kernelTotals {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Utilization returns average core utilization over the elapsed virtual time.
-func (e *Executor) Utilization(elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	u := e.busyCoreSeconds / (elapsed.Seconds() * float64(e.cores))
-	if u > 1 {
-		u = 1
-	}
-	return u
 }
 
 // Submit schedules work on the executor. onDone, if non-nil, runs after the
@@ -153,9 +73,6 @@ func (e *Executor) Submit(node string, work func(now time.Duration) CallbackResu
 	j := &job{node: node, work: work, onDone: onDone, submittedAt: e.engine.Now()}
 	if e.busy >= e.cores {
 		e.queue = append(e.queue, j)
-		if len(e.queue) > e.maxQueueLen {
-			e.maxQueueLen = len(e.queue)
-		}
 		return
 	}
 	e.start(j)
@@ -171,13 +88,7 @@ func (e *Executor) start(j *job) {
 	if cost < 0 {
 		cost = 0
 	}
-	e.busyCoreSeconds += cost.Seconds()
 	e.jobsRun++
-	if res.Kernel != "" {
-		e.kernelTotals[res.Kernel] += cost
-		e.kernelCounts[res.Kernel]++
-	}
-	e.nodeTotals[j.node] += cost
 	if e.onKernel != nil {
 		e.onKernel(res.Kernel, j.node, cost, now, now+cost)
 	}

@@ -279,8 +279,7 @@ func TestComputeCostDelaysWork(t *testing.T) {
 		if done != 8 {
 			t.Fatalf("only %d jobs ran", done)
 		}
-		totals := s.Graph().Executor().KernelTotals()
-		return totals[compute.KernelOctomap]
+		return s.Recorder().Report(0).KernelTime[compute.KernelOctomap]
 	}
 	slow := elapsed(compute.TX2(2, compute.TX2FreqLowGHz))
 	fast := elapsed(compute.DefaultTX2())

@@ -149,6 +149,16 @@ func (r *Recorder) RecordKernel(kernel string, cost time.Duration) {
 	r.kernelCount[kernel]++
 }
 
+// KernelMean returns the mean cost of the named kernel so far, or zero when
+// it never ran.
+func (r *Recorder) KernelMean(kernel string) time.Duration {
+	n := r.kernelCount[kernel]
+	if n == 0 {
+		return 0
+	}
+	return r.kernelTime[kernel] / time.Duration(n)
+}
+
 // Count increments a named application counter (e.g. "replans",
 // "detections", "collisions").
 func (r *Recorder) Count(name string, delta float64) { r.counters[name] += delta }
@@ -217,9 +227,7 @@ func (r *Recorder) Report(endTime float64) Report {
 	for k, v := range r.kernelTime {
 		rep.KernelTime[k] = v
 		rep.KernelCount[k] = r.kernelCount[k]
-		if r.kernelCount[k] > 0 {
-			rep.KernelMean[k] = v / time.Duration(r.kernelCount[k])
-		}
+		rep.KernelMean[k] = r.KernelMean(k)
 	}
 	for k, v := range r.counters {
 		rep.Counters[k] = v

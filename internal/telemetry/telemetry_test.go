@@ -97,6 +97,12 @@ func TestKernelAccounting(t *testing.T) {
 	if rep.KernelMean["octomap"] != 200*time.Millisecond {
 		t.Errorf("kernel mean = %v", rep.KernelMean["octomap"])
 	}
+	if got := r.KernelMean("octomap"); got != 200*time.Millisecond {
+		t.Errorf("running kernel mean = %v", got)
+	}
+	if got := r.KernelMean("planning"); got != 0 {
+		t.Errorf("mean of a kernel that never ran = %v", got)
+	}
 	if len(rep.KernelTime) != 1 {
 		t.Errorf("unattributed kernel recorded: %v", rep.KernelTime)
 	}

@@ -38,7 +38,6 @@ func (AerialPhotography) Description() string {
 
 // World implements core.Workload.
 func (AerialPhotography) World(p core.Params) (*env.World, geom.Vec3, error) {
-	p = p.Normalize()
 	w, err := buildEnvironment(p, "park")
 	if err != nil {
 		return nil, geom.Vec3{}, err
@@ -60,7 +59,6 @@ func (AerialPhotography) World(p core.Params) (*env.World, geom.Vec3, error) {
 
 // Setup implements core.Workload.
 func (AerialPhotography) Setup(s *sim.Simulator, p core.Params) error {
-	p = p.Normalize()
 	det, err := detection.New(p.Detector, p.Seed+23)
 	if err != nil {
 		return err

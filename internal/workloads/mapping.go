@@ -32,7 +32,6 @@ func (Mapping3D) Description() string {
 
 // World implements core.Workload.
 func (Mapping3D) World(p core.Params) (*env.World, geom.Vec3, error) {
-	p = p.Normalize()
 	w, err := buildEnvironment(p, "disaster")
 	if err != nil {
 		return nil, geom.Vec3{}, err
@@ -118,7 +117,6 @@ func transitCorridorAltitude(s *sim.Simulator) float64 {
 }
 
 func setupExploration(s *sim.Simulator, p core.Params, cfg explorationConfig) error {
-	p = p.Normalize()
 	nav, err := newNavigator(s, p)
 	if err != nil {
 		return err

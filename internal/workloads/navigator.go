@@ -214,7 +214,7 @@ func (n *navigator) pose() geom.Pose {
 // flight velocity (paper Equation 2): one sensor period plus the mean OctoMap
 // integration time observed so far.
 func (n *navigator) perceptionLatency() float64 {
-	mean := n.s.Graph().Executor().KernelMean(compute.KernelOctomap)
+	mean := n.s.Recorder().KernelMean(compute.KernelOctomap)
 	if mean == 0 {
 		mean = n.s.Cost().MustKernelTime(compute.KernelOctomap)
 	}

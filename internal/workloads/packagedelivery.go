@@ -28,7 +28,6 @@ func (PackageDelivery) Description() string {
 
 // World implements core.Workload.
 func (PackageDelivery) World(p core.Params) (*env.World, geom.Vec3, error) {
-	p = p.Normalize()
 	w, err := buildEnvironment(p, "urban")
 	if err != nil {
 		return nil, geom.Vec3{}, err
@@ -43,7 +42,6 @@ func (PackageDelivery) World(p core.Params) (*env.World, geom.Vec3, error) {
 
 // Setup implements core.Workload.
 func (PackageDelivery) Setup(s *sim.Simulator, p core.Params) error {
-	p = p.Normalize()
 	nav, err := newNavigator(s, p)
 	if err != nil {
 		return err

@@ -43,7 +43,6 @@ func (Scanning) World(p core.Params) (*env.World, geom.Vec3, error) {
 
 // Setup implements core.Workload.
 func (Scanning) Setup(s *sim.Simulator, p core.Params) error {
-	p = p.Normalize()
 	tracker := control.NewTracker(control.DefaultTrackerConfig())
 	// Survey above the tallest obstacles (agricultural scans assume an
 	// obstacle-free altitude, as the paper notes).

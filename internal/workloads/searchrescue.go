@@ -28,7 +28,6 @@ func (SearchAndRescue) Description() string {
 
 // World implements core.Workload.
 func (SearchAndRescue) World(p core.Params) (*env.World, geom.Vec3, error) {
-	p = p.Normalize()
 	w, err := buildEnvironment(p, "disaster")
 	if err != nil {
 		return nil, geom.Vec3{}, err
@@ -42,7 +41,6 @@ func (SearchAndRescue) World(p core.Params) (*env.World, geom.Vec3, error) {
 
 // Setup implements core.Workload.
 func (SearchAndRescue) Setup(s *sim.Simulator, p core.Params) error {
-	p = p.Normalize()
 	detectorName := p.Detector
 	if detectorName == "" || detectorName == "yolo" {
 		// The paper's SAR configuration uses the HOG people detector.

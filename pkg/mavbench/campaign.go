@@ -168,7 +168,7 @@ func (c *Campaign) runOne(index int, spec Spec) (res Result) {
 			return hit
 		}
 	}
-	runRes, err := core.RunWithCache(spec.params(), c.effectiveWorldCache().engine())
+	runRes, err := core.RunWithCache(core.Params(spec), c.effectiveWorldCache().engine())
 	if err != nil {
 		res.err = err
 		res.Error = err.Error()

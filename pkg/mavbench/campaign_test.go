@@ -2,6 +2,7 @@ package mavbench
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -137,6 +138,31 @@ func TestCampaignCacheServesRepeatedSpecs(t *testing.T) {
 	}
 	if served[0].SpecHash != fresh[0].SpecHash || served[0].Report.MissionTimeS != fresh[0].Report.MissionTimeS {
 		t.Error("cached result diverges from the fresh one")
+	}
+}
+
+// TestResubmittedResultSpecIsServedFromStore pins that Result.Spec addresses
+// the result it came with: resubmitting it is served from the store, also
+// for an rtt_ms (4.039) whose float64 form sits just below a whole
+// nanosecond.
+func TestResubmittedResultSpecIsServedFromStore(t *testing.T) {
+	spec := mustSpec(t, "scanning", WithLocalizer("ground_truth"), WithWorldScale(0.25),
+		WithMaxMissionTime(60), WithCloudOffload(CloudLink{BandwidthMbps: 100, RTTMillis: 4.039}))
+	cache := NewMemoryCache()
+	first, err := NewCampaign(spec).SetStore(cache).Collect(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := NewCampaign(first[0].Spec).SetStore(cache).Collect(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again[0].Cached || again[0].SpecHash != first[0].SpecHash {
+		t.Fatalf("resubmitted Result.Spec: cached=%v hash %s, want the stored %s",
+			again[0].Cached, again[0].SpecHash, first[0].SpecHash)
+	}
+	if !reflect.DeepEqual(again[0].Report, first[0].Report) {
+		t.Error("served report differs from the one stored")
 	}
 }
 

@@ -37,7 +37,7 @@ func scenarioInfo(s env.Scenario) ScenarioInfo {
 		Description: s.Description,
 	}
 	if !s.PresetKnobs.IsZero() {
-		k := knobsFromEnv(s.PresetKnobs)
+		k := s.PresetKnobs
 		info.Knobs = &k
 	}
 	return info

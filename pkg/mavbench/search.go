@@ -169,7 +169,6 @@ func (r SearchRequest) Validate() error {
 // candidateSpec expands one (knob vector, repeat) pair into a run spec. All
 // candidates share the per-repeat seeds, so scores compare paired missions.
 func (r SearchRequest) candidateSpec(k env.Knobs, repeat int) Spec {
-	knobs := knobsFromEnv(k)
 	return Spec{
 		Workload:        r.Workload,
 		Cores:           r.Cores,
@@ -177,7 +176,7 @@ func (r SearchRequest) candidateSpec(k env.Knobs, repeat int) Spec {
 		Seed:            DeriveSeed(r.Seed, r.Workload, r.Cores, r.FreqGHz, repeat),
 		Localizer:       "ground_truth",
 		Scenario:        r.Family + "-default",
-		ScenarioKnobs:   &knobs,
+		ScenarioKnobs:   &k,
 		WorldScale:      r.WorldScale,
 		MaxMissionTimeS: r.MaxMissionTimeS,
 	}
@@ -467,7 +466,7 @@ func candidate(v []float64, m candMetrics, cal *search.Calibrator) (FrontierCand
 		return FrontierCandidate{}, err
 	}
 	return FrontierCandidate{
-		Knobs:                knobsFromEnv(k),
+		Knobs:                k,
 		Score:                m.score,
 		CollisionRate:        m.collisionRate,
 		SuccessRate:          m.successRate,

@@ -1,8 +1,12 @@
 package mavbench
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -54,6 +58,7 @@ func TestNewSpecValidatesAtBuildTime(t *testing.T) {
 		{"infinite bandwidth", "scanning", []Option{WithCloudOffload(CloudLink{BandwidthMbps: math.Inf(1)})}, "bandwidth"},
 		{"NaN RTT", "scanning", []Option{WithCloudOffload(CloudLink{BandwidthMbps: 10, RTTMillis: math.NaN()})}, "rtt_ms"},
 		{"infinite RTT", "scanning", []Option{WithCloudOffload(CloudLink{BandwidthMbps: 10, RTTMillis: math.Inf(1)})}, "rtt_ms"},
+		{"overflowing RTT", "scanning", []Option{WithCloudOffload(CloudLink{BandwidthMbps: 10, RTTMillis: 1e13})}, "rtt_ms"},
 		{"NaN drop probability", "scanning", []Option{WithCloudOffload(CloudLink{BandwidthMbps: 10, DropProbability: math.NaN()})}, "drop probability"},
 	}
 	for _, tc := range cases {
@@ -164,6 +169,104 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCanonicalIsAFixedPoint pins that canonical rtt_ms sits on the
+// whole-nanosecond grid the engine flies: canonicalizing a canonical spec
+// changes nothing, so a spec and its canonical form share one Hash.
+func TestCanonicalIsAFixedPoint(t *testing.T) {
+	drifted := 0
+	for us := 1; us <= 200_000; us++ { // 0.001 .. 200 ms on a 1 µs grid
+		s := Spec{Workload: "scanning", CloudLink: &CloudLink{BandwidthMbps: 100, RTTMillis: float64(us) / 1000}}
+		c := s.Canonical()
+		if cc := c.Canonical(); !reflect.DeepEqual(cc, c) {
+			if drifted == 0 {
+				t.Errorf("rtt_ms %g canonicalizes to %g, then to %g", s.CloudLink.RTTMillis, c.CloudLink.RTTMillis, cc.CloudLink.RTTMillis)
+			}
+			drifted++
+		}
+	}
+	if drifted > 0 {
+		t.Errorf("%d of 200000 rtt_ms values are not canonical fixed points", drifted)
+	}
+	s := mustSpec(t, "scanning", WithCloudOffload(CloudLink{BandwidthMbps: 100, RTTMillis: 4.039}))
+	if s.Hash() != s.Canonical().Hash() {
+		t.Errorf("rtt_ms 4.039: Hash(s) = %s, Hash(s.Canonical()) = %s", s.Hash(), s.Canonical().Hash())
+	}
+}
+
+// FuzzSpecJSON checks the canonical form's contract on arbitrary spec JSON,
+// without simulating: Canonical is a fixed point that keeps Hash and
+// WorldHash, survives a JSON round trip, keeps a valid spec valid and shares
+// no pointer with its input.
+func FuzzSpecJSON(f *testing.F) {
+	for _, file := range []string{"golden_traces.json", "golden_traces_multivehicle.json"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", file))
+		if err != nil {
+			f.Fatal(err)
+		}
+		var traces []struct {
+			Spec json.RawMessage `json:"spec"`
+		}
+		if err := json.Unmarshal(data, &traces); err != nil {
+			f.Fatal(err)
+		}
+		for _, tr := range traces {
+			f.Add([]byte(tr.Spec))
+		}
+	}
+	f.Add([]byte(`{"workload":"scanning","cloud_offload":true,"cloud_link":{"bandwidth_mbps":100,"rtt_ms":4.039}}`))
+	f.Add([]byte(`{"workload":"scanning","scenario_knobs":{}}`))
+	f.Add([]byte(`{"workload":"scanning","cloud_link":{"bandwidth_mbps":0,"rtt_ms":5}}`))
+	// Inputs that broke the contract: a -0 that JSON's omitempty drops, and
+	// dynamic resolution whose unset coarse default is finer than its fine.
+	f.Add([]byte(`{"workload":"scanning","difficulty":-0,"scenario_knobs":{"obstacle_density":1,"clutter_scale":-0}}`))
+	f.Add([]byte(`{"workload":"scanning","dynamic_resolution":true,"octomap_resolution":1}`))
+	f.Add([]byte(`{"workload":"scanning","dynamic_resolution":true,"coarse_resolution":0.1}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Spec
+		if json.Unmarshal(data, &s) != nil {
+			return
+		}
+		before, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		valid := s.Validate() == nil
+		c := s.Canonical()
+		if cc := c.Canonical(); !reflect.DeepEqual(cc, c) {
+			t.Fatalf("Canonical is not a fixed point:\n%s\n%s", mustJSON(t, c), mustJSON(t, cc))
+		}
+		if s.Hash() != c.Hash() || s.WorldHash() != c.WorldHash() {
+			t.Fatalf("canonical form changes the hashes of %s", before)
+		}
+		var back Spec
+		if err := json.Unmarshal(mustJSON(t, c), &back); err != nil {
+			t.Fatal(err)
+		}
+		if back.Hash() != c.Hash() {
+			t.Fatalf("JSON round trip changes the hash of %s", mustJSON(t, c))
+		}
+		if err := c.Validate(); valid && err != nil {
+			t.Fatalf("valid spec %s has an invalid canonical form: %v", before, err)
+		}
+		c.CloudLink.Name += "-changed"
+		if c.ScenarioKnobs != nil {
+			c.ScenarioKnobs.ObstacleDensity++
+		}
+		if after := mustJSON(t, s); !bytes.Equal(before, after) {
+			t.Fatalf("writing through the canonical form changed its input:\n%s\n%s", before, after)
+		}
+	})
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 func TestSweepAndRepeatSpecs(t *testing.T) {
 	base, err := NewSpec("scanning", WithSeed(101), WithWorldScale(0.3))
 	if err != nil {
@@ -193,6 +296,12 @@ func TestSweepAndRepeatSpecs(t *testing.T) {
 	repeats := RepeatSpecs(base, 3)
 	if len(repeats) != 3 {
 		t.Fatalf("repeats = %d", len(repeats))
+	}
+	for i, s := range repeats {
+		// Repeat seeds derive from the canonical operating point (4 @ 2.2).
+		if s.Seed != DeriveSeed(101, "scanning", 4, 2.2, i) {
+			t.Errorf("repeat %d seed not derived from its index", i)
+		}
 	}
 	if repeats[0].Seed == repeats[1].Seed {
 		t.Error("repeat seeds should differ")

@@ -35,8 +35,6 @@ func Workloads() []WorkloadInfo {
 	return infos
 }
 
-func workloadNames() []string { return core.Workloads() }
-
 // Detectors returns the valid object-detector kernel names.
 func Detectors() []string { return core.Detectors() }
 
@@ -58,21 +56,11 @@ func OffloadedKernels() []string {
 
 // OperatingPoint is a (cores, frequency) pair, the unit of the paper's
 // compute sweeps.
-type OperatingPoint struct {
-	Cores   int     `json:"cores"`
-	FreqGHz float64 `json:"freq_ghz"`
-}
+type OperatingPoint = compute.OperatingPoint
 
 // PaperOperatingPoints returns the nine TX2 operating points swept in the
 // paper's Figures 10-15 (2/3/4 cores × 0.8/1.5/2.2 GHz).
-func PaperOperatingPoints() []OperatingPoint {
-	pts := compute.PaperOperatingPoints()
-	out := make([]OperatingPoint, len(pts))
-	for i, pt := range pts {
-		out[i] = OperatingPoint{Cores: pt.Cores, FreqGHz: pt.FreqGHz}
-	}
-	return out
-}
+func PaperOperatingPoints() []OperatingPoint { return compute.PaperOperatingPoints() }
 
 // DeriveSeed deterministically derives a per-run seed from a sweep's base
 // seed and the run's identity; see the engine's seed-derivation contract
@@ -95,16 +83,15 @@ func DeriveVehicleSeed(runSeed int64, vehicle int) int64 {
 
 // SweepSpecs expands a base spec into one spec per operating point, each with
 // its seed derived from the point's identity — the primitive behind the
-// paper's heat maps. Pass the result to NewCampaign.
+// paper's heat maps. Pass the result to NewCampaign. The seed also seeds the
+// world, so each cell flies its own fixed world (see docs/EXPERIMENTS.md).
 func SweepSpecs(base Spec, points []OperatingPoint) []Spec {
-	cpts := make([]compute.OperatingPoint, len(points))
+	specs := make([]Spec, len(points))
 	for i, pt := range points {
-		cpts[i] = compute.OperatingPoint{Cores: pt.Cores, FreqGHz: pt.FreqGHz}
-	}
-	runs := core.SweepParams(base.params(), cpts)
-	specs := make([]Spec, len(runs))
-	for i, p := range runs {
-		specs[i] = specFromParams(p)
+		s := base
+		s.Cores, s.FreqGHz = pt.Cores, pt.FreqGHz
+		s.Seed = DeriveSeed(base.Seed, base.Workload, pt.Cores, pt.FreqGHz, 0)
+		specs[i] = s
 	}
 	return specs
 }
@@ -113,10 +100,12 @@ func SweepSpecs(base Spec, points []OperatingPoint) []Spec {
 // the same configuration, each with its seed derived from the repeat index
 // (the Table II pattern).
 func RepeatSpecs(base Spec, n int) []Spec {
-	runs := core.RepeatParams(base.params(), n)
-	specs := make([]Spec, len(runs))
-	for i, p := range runs {
-		specs[i] = specFromParams(p)
+	c := base.Canonical()
+	specs := make([]Spec, n)
+	for i := range specs {
+		s := base
+		s.Seed = DeriveSeed(base.Seed, c.Workload, c.Cores, c.FreqGHz, i)
+		specs[i] = s
 	}
 	return specs
 }

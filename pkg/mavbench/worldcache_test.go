@@ -109,7 +109,7 @@ func TestWorldCacheBuildsWorldOnce(t *testing.T) {
 // TestDifficultySweepSpecsPairWorlds pins the sweep/world-hash contract that
 // makes operating-point comparisons fair: sweeping difficulty at two
 // different operating points yields pairwise-identical world hashes (same
-// world per difficulty cell) while the compute and combined hashes differ.
+// world per difficulty cell) while the combined hashes differ.
 func TestDifficultySweepSpecsPairWorlds(t *testing.T) {
 	points := PaperOperatingPoints()
 	low, high := points[0], points[len(points)-1]
@@ -128,9 +128,6 @@ func TestDifficultySweepSpecsPairWorlds(t *testing.T) {
 		if sl.WorldHash() != sh.WorldHash() {
 			t.Errorf("difficulty %g: operating points got different worlds:\n%s\n%s",
 				diffs[i], sl.WorldHash(), sh.WorldHash())
-		}
-		if sl.ComputeHash() == sh.ComputeHash() {
-			t.Errorf("difficulty %g: distinct operating points share a compute hash", diffs[i])
 		}
 		if sl.Hash() == sh.Hash() {
 			t.Errorf("difficulty %g: distinct operating points share a combined hash", diffs[i])
