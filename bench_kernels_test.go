@@ -400,7 +400,7 @@ func TestEmitBenchJSON(t *testing.T) {
 	}
 	pairSpeedups(planEntries)
 	writeBenchFile(t, "BENCH_planning.json", "planning",
-		"Spatial-index planners (grid nearest-neighbour + radius candidates, memoised segment checks) vs the seed's O(n^2)/O(n) scans, on identical cluttered maps.",
+		"Spatial-index planners (grid nearest-neighbour + radius candidates, one swept blocking-voxel query per segment check) vs the seed's O(n^2)/O(n) scans, on identical cluttered maps.",
 		planEntries)
 
 	// End-to-end sweep suite: the golden campaign at 1 worker and N workers

@@ -33,6 +33,10 @@ type chunk struct {
 	known   [chunkWords]uint64
 	count   int32 // known voxels in this chunk
 	occ     int32 // known voxels with logOdds above the occupied threshold
+	// occBits has a voxel's bit set exactly when its logOdds is above the
+	// occupied threshold (an unknown voxel's 0.0 is not); the collision
+	// query enumerates it.
+	occBits [chunkWords]uint64
 }
 
 // chunkPool recycles chunk blocks across maps. Campaigns create and drop a
@@ -94,6 +98,12 @@ func (c *chunk) isKnown(li int) bool {
 	return c.known[li>>6]&(1<<uint(li&63)) != 0
 }
 
+// flipOccupied toggles the voxel's occupied bit; callers flip it exactly
+// when its logOdds crosses the occupied threshold.
+func (c *chunk) flipOccupied(li int) {
+	c.occBits[li>>6] ^= 1 << uint(li&63)
+}
+
 // markKnown sets the voxel's known bit, reporting whether it was newly set.
 func (c *chunk) markKnown(li int) bool {
 	w, b := li>>6, uint64(1)<<uint(li&63)
@@ -108,8 +118,8 @@ func (c *chunk) markKnown(li int) bool {
 // chunkAt returns the chunk holding ck, or nil if none exists. In-bounds
 // coordinates resolve through the dense chunk directory (array indexing);
 // out-of-grid coordinates fall back to the hash map behind a single-entry
-// cache that also remembers misses — sphere queries in unobserved space probe
-// the same absent chunk hundreds of times.
+// cache that also remembers misses — voxel lookups in unobserved space probe
+// the same absent chunk many times in a row.
 func (m *Map) chunkAt(ck chunkKey) *chunk {
 	if gi, ok := m.gridIndex(ck); ok {
 		return m.grid[gi]
@@ -169,6 +179,7 @@ func (m *Map) setLogOdds(k voxelKey, v float64) {
 		} else {
 			c.occ--
 		}
+		c.flipOccupied(li)
 	}
 	c.logOdds[li] = v
 	if c.markKnown(li) {

@@ -75,8 +75,9 @@ func TestFrontierCellsMatchesSortedLeafReference(t *testing.T) {
 			)
 			m.InsertRay(origin, end, 18)
 		}
+		var got []geom.Vec3 // reused across limits, as SelectFrontier reuses its buffer
 		for _, limit := range []int{0, 1, 5, 50, 1 << 20} {
-			got := m.FrontierCells(limit)
+			got = m.FrontierCells(got[:0], limit)
 			want := frontierCellsReference(m, limit)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d limit %d: %d cells, want %d", trial, limit, len(got), len(want))

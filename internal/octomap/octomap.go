@@ -25,8 +25,10 @@ package octomap
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
-	"unsafe"
+	"sync"
 
 	"mavbench/internal/geom"
 )
@@ -84,8 +86,8 @@ type Map struct {
 
 	chunks    map[chunkKey]*chunk
 	leafCount int
-	// version increments on every voxel write; collision-check caches key
-	// their entries on it to stay coherent with the evolving map.
+	// version increments on every voxel write; the insertion memo keys on it
+	// to stay coherent with the evolving map.
 	version uint64
 
 	// Single-entry chunk cache serving the ray-traversal and sphere-query
@@ -106,13 +108,6 @@ type Map struct {
 	gridMin chunkKey
 	gridDim [3]int32
 
-	// regionScratch is CollidesSphere's per-query chunk-region buffer.
-	regionScratch []*chunk
-
-	// sphereOffsets caches, per query radius, the pruned voxel-offset
-	// neighbourhood CollidesSphere scans. A mission uses only a handful of
-	// distinct radii, so this is a tiny map of reusable scratch buffers.
-	sphereOffsets map[float64][]voxelKey
 	// chunkKeyScratch / chunkPtrScratch are reused across FrontierCells
 	// calls (sorted chunk directory for the ordered traversal).
 	chunkKeyScratch []chunkKey
@@ -150,11 +145,10 @@ func New(resolution float64, bounds geom.AABB) *Map {
 		resolution = 0.15
 	}
 	m := &Map{
-		resolution:    resolution,
-		invRes:        1 / resolution,
-		bounds:        bounds,
-		chunks:        map[chunkKey]*chunk{},
-		sphereOffsets: map[float64][]voxelKey{},
+		resolution: resolution,
+		invRes:     1 / resolution,
+		bounds:     bounds,
+		chunks:     map[chunkKey]*chunk{},
 	}
 	m.initGrid()
 	return m
@@ -210,24 +204,24 @@ func (m *Map) Bounds() geom.AABB { return m.bounds }
 // LeafCount returns the number of observed voxels.
 func (m *Map) LeafCount() int { return m.leafCount }
 
-// Version increments on every voxel write. Collision-check caches use it to
-// detect that the map has changed under them.
-func (m *Map) Version() uint64 { return m.version }
-
 // ChunkCount returns the number of allocated 16^3-voxel chunks.
 func (m *Map) ChunkCount() int { return len(m.chunks) }
 
-// Bytes actually held per allocated chunk: the dense block itself plus its
-// hash-map entry (key, chunk pointer, and amortised bucket overhead — Go maps
+// chunkEntryBytes is the modelled OctoMap payload of one allocated chunk,
+// 33,328 bytes: the log-odds array (8 B per voxel), the known bitmap, the
+// known and occupied counters, and its hash-map entry (a 12-byte key, an
+// 8-byte chunk pointer, and 20 bytes of amortised bucket overhead — Go maps
 // keep 8 slots of key+value plus a tophash byte and overflow pointer per
-// bucket, about 2.4 words per entry at default load factors).
-const chunkEntryBytes = int(unsafe.Sizeof(chunk{})) + int(unsafe.Sizeof(chunkKey{})) + int(unsafe.Sizeof((*chunk)(nil))) + 20
+// bucket). It is a model of the map the offload path ships, not the Go heap
+// footprint of a chunk, which also holds the occupied bitmap the collision
+// query enumerates.
+const chunkEntryBytes = chunkVoxels*8 + chunkWords*8 + 2*4 + 12 + 8 + 20
 
-// MemoryBytes reports the map's actual storage: every allocated chunk's dense
-// arrays plus hash-map entry overhead. Unlike the seed's per-leaf estimate
-// (which ignored bucket overhead entirely), this is the real footprint of the
-// chunked layout — it also prices partially-filled chunks honestly, which is
-// what the cloud-offload path serialises.
+// MemoryBytes reports the map's modelled storage: every allocated chunk's
+// payload plus hash-map entry overhead. Unlike the seed's per-leaf estimate
+// (which ignored bucket overhead entirely), it prices the chunked layout —
+// partially-filled chunks count in full — and it is what the cloud-offload
+// path serialises.
 func (m *Map) MemoryBytes() int { return len(m.chunks) * chunkEntryBytes }
 
 // Inserts returns how many point clouds have been integrated.
@@ -306,6 +300,7 @@ func (m *Map) updateIn(c *chunk, li int, delta float64) {
 		} else {
 			c.occ--
 		}
+		c.flipOccupied(li)
 	}
 	if c.markKnown(li) {
 		m.leafCount++
@@ -469,132 +464,229 @@ func (m *Map) IsOccupied(p geom.Vec3) bool { return m.At(p) == Occupied }
 // IsFree reports whether p falls in an observed-free voxel.
 func (m *Map) IsFree(p geom.Vec3) bool { return m.At(p) == Free }
 
-// offsetsFor returns the voxel-offset neighbourhood a sphere query of the
-// given radius must examine, cached per radius. Offsets whose voxel can never
-// pass the exact per-voxel distance filter — the voxel centre is farther from
-// every point of the query's own voxel than the filter allows — are pruned
-// once here instead of being re-rejected on every query.
-func (m *Map) offsetsFor(radius float64, r int) []voxelKey {
-	if offs, ok := m.sphereOffsets[radius]; ok {
-		return offs
-	}
-	// The exact filter keeps voxels with centre within radius + 0.87*res of
-	// the query point p. p lies somewhere in its own voxel, at most half a
-	// voxel diagonal (sqrt(3)/2 voxels) from that voxel's centre, so any
-	// offset farther than radius/res + 0.87 + sqrt(3)/2 voxels (plus float
-	// slack) fails the exact test for every possible p.
-	bound := radius/m.resolution + 0.87 + math.Sqrt(3)/2 + 1e-9
-	boundSq := bound * bound
-	offs := make([]voxelKey, 0, (2*r+1)*(2*r+1)*(2*r+1))
-	for dx := -r; dx <= r; dx++ {
-		for dy := -r; dy <= r; dy++ {
-			for dz := -r; dz <= r; dz++ {
-				if float64(dx*dx+dy*dy+dz*dz) > boundSq {
-					continue
-				}
-				offs = append(offs, voxelKey{int32(dx), int32(dy), int32(dz)})
-			}
-		}
-	}
-	m.sphereOffsets[radius] = offs
-	return offs
-}
-
 // CollidesSphere reports whether a sphere of the given radius centered at p
 // overlaps any occupied voxel. treatUnknownAsOccupied selects conservative
-// behaviour (the planner's default) versus optimistic behaviour.
-//
-// The exact per-voxel distance filter only gates positive verdicts — a voxel
-// that would be skipped as free (or, optimistically, unknown) is skipped
-// whether or not it passes the filter — so occupancy is looked up first and
-// the filter's square root is paid only for voxels that could actually
-// trigger a collision. The verdict is identical to filtering every voxel.
-// The query resolves the chunks covering its voxel neighbourhood once into a
-// small region array (typically 8 chunks for mission radii), then serves
-// every per-voxel lookup from that array. Because every chunk tracks its
-// occupied-voxel count, a region that is entirely known free space — the
-// common case along a validated trajectory — is cleared after the chunk scan
-// alone, without visiting a single voxel. Both shortcuts only reorder
-// independent boolean lookups, so the verdict is identical to the seed's
-// per-offset scan.
+// behaviour (the planner's default) versus optimistic behaviour. It is the
+// one-sample case of blocked.
 func (m *Map) CollidesSphere(p geom.Vec3, radius float64, treatUnknownAsOccupied bool) bool {
-	r := int(math.Ceil(radius/m.resolution)) + 1
-	center := m.key(p)
-	limit := radius + m.resolution*0.87
-	offs := m.offsetsFor(radius, r)
-
-	r32 := int32(r)
-	c0 := chunkKey{(center.X - r32) >> chunkBits, (center.Y - r32) >> chunkBits, (center.Z - r32) >> chunkBits}
-	c1 := chunkKey{(center.X + r32) >> chunkBits, (center.Y + r32) >> chunkBits, (center.Z + r32) >> chunkBits}
-	rny := int(c1.Y-c0.Y) + 1
-	rnz := int(c1.Z-c0.Z) + 1
-	n := (int(c1.X-c0.X) + 1) * rny * rnz
-	region := m.regionScratch
-	if cap(region) < n {
-		region = make([]*chunk, n)
-		m.regionScratch = region
-	}
-	region = region[:n]
-	clear := true // no voxel in the region can possibly collide
-	idx := 0
-	for x := c0.X; x <= c1.X; x++ {
-		for y := c0.Y; y <= c1.Y; y++ {
-			for z := c0.Z; z <= c1.Z; z++ {
-				c := m.chunkAt(chunkKey{x, y, z})
-				region[idx] = c
-				idx++
-				if treatUnknownAsOccupied {
-					// Conservative: the chunk must be fully known and free.
-					if c == nil || c.occ != 0 || c.count != chunkVoxels {
-						clear = false
-					}
-				} else {
-					// Optimistic: only occupied voxels collide; absent or
-					// occupancy-free chunks cannot hold one.
-					if c != nil && c.occ != 0 {
-						clear = false
-					}
-				}
-			}
-		}
-	}
-	if clear {
-		return false
-	}
-	for _, off := range offs {
-		k := voxelKey{center.X + off.X, center.Y + off.Y, center.Z + off.Z}
-		ck, li := chunkOf(k)
-		c := region[(int(ck.X-c0.X)*rny+int(ck.Y-c0.Y))*rnz+int(ck.Z-c0.Z)]
-		if c != nil && c.isKnown(li) {
-			if c.logOdds[li] <= occupiedLogOdds {
-				continue // free voxel: never a collision, filter irrelevant
-			}
-		} else if !treatUnknownAsOccupied {
-			continue // optimistic: unknown never collides, filter irrelevant
-		}
-		// Occupied (or conservatively unknown) voxel: the exact distance
-		// filter decides whether it is actually inside the sphere.
-		if m.center(k).Dist(p) > limit {
-			continue
-		}
-		return true
-	}
-	return false
+	pts := [1]geom.Vec3{p}
+	keys := [1][3]int32{m.sampleKey(p)}
+	s := sweep{pts: pts[:], keys: keys[:]}
+	return m.blocked(&s, keys[0], keys[0], radius, treatUnknownAsOccupied)
 }
 
 // SegmentCollides reports whether the straight segment between a and b, swept
 // by a sphere of the given radius, passes through occupied (or, when
-// conservative, unknown) space.
+// conservative, unknown) space. The sweep places a sphere every half voxel,
+// at a.Lerp(b, i/steps) for i = 0..steps, and one blocked query answers for
+// all of them.
 func (m *Map) SegmentCollides(a, b geom.Vec3, radius float64, treatUnknownAsOccupied bool) bool {
-	dist := a.Dist(b)
-	steps := int(dist/(m.resolution*0.5)) + 1
-	for i := 0; i <= steps; i++ {
-		t := float64(i) / float64(steps)
-		if m.CollidesSphere(a.Lerp(b, t), radius, treatUnknownAsOccupied) {
+	steps := int(a.Dist(b)/(m.resolution*0.5)) + 1
+	if steps < 0 {
+		return false // a non-finite length: no samples
+	}
+	s := sweepPool.Get().(*sweep)
+	s.a, s.b, s.steps = a, b, steps
+	s.pts, s.keys = slices.Grow(s.pts[:0], steps+1), slices.Grow(s.keys[:0], steps+1)
+	// The first and last samples sit at t = 0 and t = 1 exactly.
+	hit := m.blocked(s, m.sampleKey(a.Lerp(b, 0)), m.sampleKey(a.Lerp(b, 1)), radius, treatUnknownAsOccupied)
+	sweepPool.Put(s)
+	return hit
+}
+
+// sweep is one blocked query: its samples and its per-voxel filters.
+// SegmentCollides takes it from sweepPool; every mission builds a fresh Map,
+// so buffers kept on the Map would be re-grown by every mission.
+type sweep struct {
+	// A segment's samples are a.Lerp(b, i/steps) for i = 0..steps. They
+	// fill pts and keys only once a chunk near the segment may block: most
+	// planner segments pass only chunks without an occupied voxel.
+	a, b  geom.Vec3
+	steps int
+	pts   []geom.Vec3
+	keys  [][3]int32 // the voxel key of each sample
+
+	desc    [3]bool // keys descend along the axis
+	r       int32
+	boundSq float64
+	limit   float64
+}
+
+var sweepPool = sync.Pool{New: func() any { return new(sweep) }}
+
+// fill builds a segment's samples into the capacity SegmentCollides
+// reserved. It only reslices and stores values, so a CollidesSphere sweep,
+// whose one sample lives on the stack, stays there.
+func (s *sweep) fill(m *Map) {
+	s.pts, s.keys = s.pts[:s.steps+1], s.keys[:s.steps+1]
+	for i := range s.pts {
+		s.pts[i] = s.a.Lerp(s.b, float64(i)/float64(s.steps))
+		s.keys[i] = m.sampleKey(s.pts[i])
+	}
+}
+
+// sampleKey is p's voxel key as the array the query indexes by axis.
+func (m *Map) sampleKey(p geom.Vec3) [3]int32 {
+	k := m.key(p)
+	return [3]int32{k.X, k.Y, k.Z}
+}
+
+// blocked reports whether a sphere of the given radius centred at any sample
+// of s collides: whether some blocking voxel k — occupied, or unknown when
+// unknownBlocks is set — passes both per-voxel filters for some sample i:
+//
+//   - the offset k − keys[i] lies in the pruned ball: within r =
+//     ceil(radius/res)+1 voxels on every axis, and dx²+dy²+dz² ≤ bound² with
+//     bound = radius/res + 0.87 + √3/2 + 1e-9 (a voxel farther out fails the
+//     next filter wherever in its voxel the sample lies), and
+//   - center(k).Dist(pts[i]) ≤ radius + 0.87·res.
+//
+// The verdict is an OR over (sample, voxel) pairs, so it does not depend on
+// the order the pairs are tested in. A per-sample scan visits every offset of
+// every sample's neighbourhood. This query visits each blocking voxel of the
+// samples' bounding box (± r) once, through the per-chunk occupied and known
+// bitmaps, and tests it only against the samples within r of it on every
+// axis. It tests the same pairs with the same filters, so its verdict is the
+// per-sample scan's, bit for bit.
+//
+// The samples' keys are monotone in i on each axis: the interpolation
+// a + (b−a)·t and the voxel quantisation (a floor of x/res) are both
+// monotone. So first and last, the keys of the end samples, span the
+// bounding box, and the samples within a range of one axis form a contiguous
+// index window, found by binary search (see window).
+func (m *Map) blocked(s *sweep, first, last [3]int32, radius float64, unknownBlocks bool) bool {
+	r := int(math.Ceil(radius/m.resolution)) + 1
+	if r < 0 {
+		return false
+	}
+	bound := radius/m.resolution + 0.87 + math.Sqrt(3)/2 + 1e-9
+	s.r, s.boundSq, s.limit = int32(r), bound*bound, radius+m.resolution*0.87
+	var lo, hi [3]int32
+	for a := range 3 {
+		lo[a], hi[a] = min(first[a], last[a])-s.r, max(first[a], last[a])+s.r
+		s.desc[a] = last[a] < first[a]
+	}
+	for cx := lo[0] >> chunkBits; cx <= hi[0]>>chunkBits; cx++ {
+		for cy := lo[1] >> chunkBits; cy <= hi[1]>>chunkBits; cy++ {
+			for cz := lo[2] >> chunkBits; cz <= hi[2]>>chunkBits; cz++ {
+				ck := chunkKey{cx, cy, cz}
+				c := m.chunkAt(ck)
+				if unknownBlocks {
+					if c != nil && c.occ == 0 && c.count == chunkVoxels {
+						continue // fully known and free
+					}
+				} else if c == nil || c.occ == 0 {
+					continue // no occupied voxel
+				}
+				if len(s.keys) == 0 {
+					s.fill(m)
+				}
+				if s.chunkBlocked(m, ck, c, unknownBlocks) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// chunkBlocked runs the query on the blocking voxels of one chunk (c is nil
+// for an absent chunk, which is all unknown). It enumerates only the part of
+// the chunk within r of the samples near it: its z-slices select the words,
+// and a mask selects its y-rows and x-columns within each word.
+func (s *sweep) chunkBlocked(m *Map, ck chunkKey, c *chunk, unknownBlocks bool) bool {
+	org := [3]int32{ck.X << chunkBits, ck.Y << chunkBits, ck.Z << chunkBits}
+	w0, w1 := 0, len(s.keys)
+	for a := range 3 {
+		w0, w1 = s.window(w0, w1, a, org[a]-s.r, org[a]+chunkMask+s.r)
+	}
+	if w0 == w1 {
+		return false
+	}
+	// The local bounds of the box the window's samples reach; by
+	// monotonicity the window's extreme keys are at its ends.
+	var l0, l1 [3]int32
+	for a := range 3 {
+		k0, k1 := s.keys[w0][a], s.keys[w1-1][a]
+		l0[a] = max(min(k0, k1)-s.r, org[a]) - org[a]
+		l1[a] = min(max(k0, k1)+s.r, org[a]+chunkMask) - org[a]
+	}
+	// A word holds four 16-voxel x-rows (li = x | y<<4 | z<<8, word = li>>6),
+	// so word = z*4 + y>>2 and bit = x + 16*(y&3).
+	xmask := (uint64(1)<<uint(l1[0]-l0[0]+1) - 1) << uint(l0[0])
+	for z := l0[2]; z <= l1[2]; z++ {
+		for wy := l0[1] >> 2; wy <= l1[1]>>2; wy++ {
+			var mask uint64
+			for y := max(l0[1], wy<<2); y <= min(l1[1], wy<<2|3); y++ {
+				mask |= xmask << uint(chunkEdge*(y&3))
+			}
+			wi := int(z)<<2 | int(wy)
+			word := ^uint64(0) // an absent chunk is all unknown
+			if c != nil {
+				word = c.occBits[wi]
+				if unknownBlocks {
+					word |= ^c.known[wi]
+				}
+			}
+			for word &= mask; word != 0; word &= word - 1 {
+				if s.voxelBlocked(m, voxelOf(ck, wi<<6|bits.TrailingZeros64(word)), w0, w1) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// voxelBlocked tests the blocking voxel k against the samples of [w0, w1)
+// within r of it on every axis.
+func (s *sweep) voxelBlocked(m *Map, k voxelKey, w0, w1 int) bool {
+	kk := [3]int32{k.X, k.Y, k.Z}
+	for a := range 3 {
+		if w0, w1 = s.window(w0, w1, a, kk[a]-s.r, kk[a]+s.r); w0 == w1 {
+			return false
+		}
+	}
+	center := m.center(k)
+	for i := w0; i < w1; i++ {
+		dx := int(kk[0] - s.keys[i][0])
+		dy := int(kk[1] - s.keys[i][1])
+		dz := int(kk[2] - s.keys[i][2])
+		if float64(dx*dx+dy*dy+dz*dz) <= s.boundSq && center.Dist(s.pts[i]) <= s.limit {
 			return true
 		}
 	}
 	return false
+}
+
+// window narrows the sample window [w0, w1) to the samples whose key on axis
+// a lies in [from, to]. The keys are monotone along the axis, so those
+// samples are contiguous and both ends are binary searches.
+func (s *sweep) window(w0, w1, a int, from, to int32) (int, int) {
+	sign := int32(1)
+	if s.desc[a] {
+		// Negated, the keys ascend and [from, to] becomes [-to, -from].
+		sign, from, to = -1, -to, -from
+	}
+	i, j := w0, w1
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if sign*s.keys[h][a] < from {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	start := i
+	for j = w1; i < j; {
+		h := int(uint(i+j) >> 1)
+		if sign*s.keys[h][a] <= to {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return start, i
 }
 
 // Stats summarises the map contents.
@@ -643,10 +735,11 @@ func (m *Map) KnownFraction() float64 {
 	return f
 }
 
-// FrontierCells returns the centers of up to limit free voxels that border
-// unknown space — the frontier the exploration planner samples. A limit of 0
-// means no limit. Results are returned in deterministic (sorted-key) order so
-// missions are reproducible across processes.
+// FrontierCells appends to dst the centers of up to limit free voxels that
+// border unknown space — the frontier the exploration planner samples — and
+// returns the extended slice. A limit of 0 means no limit. Cells are appended
+// in deterministic (sorted-key) order so missions are reproducible across
+// processes.
 //
 // The scan walks observed voxels in globally sorted key order straight out
 // of the chunk directory instead of materialising and sorting every leaf:
@@ -654,8 +747,8 @@ func (m *Map) KnownFraction() float64 {
 // leaves), and the walk stops as soon as limit frontier cells have been
 // emitted. The emitted cells and their order are bit-identical to sorting
 // all leaves.
-func (m *Map) FrontierCells(limit int) []geom.Vec3 {
-	var out []geom.Vec3
+func (m *Map) FrontierCells(dst []geom.Vec3, limit int) []geom.Vec3 {
+	out, n := dst, 0
 	keys := m.chunkKeyScratch[:0]
 	for ck := range m.chunks {
 		keys = append(keys, ck)
@@ -708,7 +801,7 @@ func (m *Map) FrontierCells(limit int) []geom.Vec3 {
 								continue
 							}
 							out = append(out, m.center(k))
-							if limit > 0 && len(out) >= limit {
+							if n++; limit > 0 && n >= limit {
 								return out
 							}
 						}

@@ -250,7 +250,7 @@ func TestFrontierCells(t *testing.T) {
 	origin := geom.V3(1, 1, 2)
 	m.InsertRay(origin, geom.V3(10, 1, 2), 15)
 
-	fr := m.FrontierCells(0)
+	fr := m.FrontierCells(nil, 0)
 	if len(fr) == 0 {
 		t.Fatal("no frontier cells found")
 	}
@@ -260,8 +260,15 @@ func TestFrontierCells(t *testing.T) {
 		}
 	}
 	// Limited query returns at most the limit.
-	if got := m.FrontierCells(3); len(got) > 3 {
+	if got := m.FrontierCells(nil, 3); len(got) > 3 {
 		t.Errorf("limit ignored: %d cells", len(got))
+	}
+	// Cells are appended after dst's contents, and the limit counts only the
+	// appended cells.
+	sentinel := geom.V3(-1, -1, -1)
+	got := m.FrontierCells([]geom.Vec3{sentinel}, 3)
+	if len(got) != 1+min(3, len(fr)) || got[0] != sentinel || got[1] != fr[0] {
+		t.Errorf("append form returned %v, want %v then the first cells of %v", got, sentinel, fr)
 	}
 }
 

@@ -2,6 +2,7 @@ package octomap
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -160,6 +161,22 @@ func TestChunkedStorageMatchesHashMapModel(t *testing.T) {
 	})
 	if checked != len(model) {
 		t.Fatalf("forEachLeaf visited %d leaves, model has %d", checked, len(model))
+	}
+	// The occupied bitmap the collision query enumerates mirrors the
+	// log-odds of every voxel, known or not, and the occupied count.
+	for ck, c := range m.chunks {
+		occ := 0
+		for li := range c.logOdds {
+			if set := c.occBits[li>>6]&(1<<uint(li&63)) != 0; set != (c.logOdds[li] > occupiedLogOdds) {
+				t.Fatalf("chunk %v voxel %d: occupied bit %v, log-odds %v", ck, li, set, c.logOdds[li])
+			}
+		}
+		for _, w := range c.occBits {
+			occ += bits.OnesCount64(w)
+		}
+		if occ != int(c.occ) {
+			t.Fatalf("chunk %v: %d occupied bits, occ count %d", ck, occ, c.occ)
+		}
 	}
 	st := m.Stats()
 	if st.Leaves != len(model) {

@@ -3,6 +3,7 @@ package planning
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"mavbench/internal/geom"
 	"mavbench/internal/octomap"
@@ -136,6 +137,11 @@ type FrontierResult struct {
 	Exhausted bool
 }
 
+// frontierPool recycles SelectFrontier's frontier-cell buffer: exploration
+// selects a frontier every step, and each selection would otherwise allocate
+// the cell list afresh.
+var frontierPool = sync.Pool{New: func() any { return new([]geom.Vec3) }}
+
 // SelectFrontier implements a receding-horizon "next best view" selection: it
 // scores frontier cells by (estimated information gain) / (travel cost) and
 // returns the best one, mirroring the exploration planner MAVBench adopts.
@@ -153,14 +159,20 @@ func SelectFrontier(req FrontierRequest) FrontierResult {
 	if req.InformationRadius <= 0 {
 		req.InformationRadius = 5
 	}
-	cells := req.Map.FrontierCells(req.MaxCandidates * 4)
+	buf := frontierPool.Get().(*[]geom.Vec3)
+	cells := req.Map.FrontierCells((*buf)[:0], req.MaxCandidates*4)
+	defer func() {
+		*buf = cells[:0]
+		frontierPool.Put(buf)
+	}()
 	if len(cells) == 0 {
 		res.Exhausted = true
 		return res
 	}
 	// Keep candidates within the altitude band and beyond the minimum travel
-	// distance; sort by distance so scoring is deterministic.
-	var cands []geom.Vec3
+	// distance, filtering in place; sort by distance so scoring is
+	// deterministic.
+	cands := cells[:0]
 	for _, c := range cells {
 		if req.Ceiling > req.Floor && (c.Z < req.Floor || c.Z > req.Ceiling) {
 			continue

@@ -71,14 +71,6 @@ func (c *WorldChecker) Checks() int { return c.checks }
 // MapChecker checks against the drone's occupancy map. Unknown space is
 // treated as free by default (the benchmark's planners plan through unknown
 // space and re-plan when new obstacles appear), switchable to conservative.
-//
-// Segment queries are memoised against the map's version counter: planners
-// and the shortcut smoother re-test the same segment while the map is
-// unchanged (every failed shortcut attempt leaves the path — and therefore
-// future candidate segments — as they were), and each voxel-sweep is
-// expensive. A cache hit returns the stored verdict, which is exactly what
-// re-sweeping the unchanged map would compute; Checks() still counts the
-// query, so the compute cost model is unaffected.
 type MapChecker struct {
 	Map *octomap.Map
 	// TreatUnknownAsOccupied selects conservative collision checking.
@@ -86,24 +78,7 @@ type MapChecker struct {
 	// Floor and Ceiling bound the usable altitude band.
 	Floor, Ceiling float64
 	checks         int
-
-	segCache   map[segKey]bool
-	cachedMap  *octomap.Map // the map the memo was built against
-	mapVersion uint64
 }
-
-// segKey identifies one swept-segment query. Direction matters: sweeping b→a
-// samples (and therefore classifies) slightly different voxels than a→b, so
-// reversed segments are distinct entries.
-type segKey struct {
-	a, b   geom.Vec3
-	radius float64
-}
-
-// segCacheLimit bounds the memo; when full it is dropped wholesale (the
-// planners' working sets are far smaller, so this never triggers in
-// practice).
-const segCacheLimit = 1 << 14
 
 // NewMapChecker wraps an occupancy map with an altitude band.
 func NewMapChecker(m *octomap.Map, floor, ceiling float64) *MapChecker {
@@ -127,20 +102,7 @@ func (c *MapChecker) SegmentFree(a, b geom.Vec3, radius float64) bool {
 			return false
 		}
 	}
-	// The memo is keyed on both map identity and version: reassigning the
-	// exported Map field must not serve verdicts computed against another map.
-	if v := c.Map.Version(); c.segCache == nil || c.cachedMap != c.Map || v != c.mapVersion || len(c.segCache) >= segCacheLimit {
-		c.segCache = map[segKey]bool{}
-		c.cachedMap = c.Map
-		c.mapVersion = v
-	}
-	key := segKey{a, b, radius}
-	if free, ok := c.segCache[key]; ok {
-		return free
-	}
-	free := !c.Map.SegmentCollides(a, b, radius, c.TreatUnknownAsOccupied)
-	c.segCache[key] = free
-	return free
+	return !c.Map.SegmentCollides(a, b, radius, c.TreatUnknownAsOccupied)
 }
 
 // Checks implements CollisionChecker.
