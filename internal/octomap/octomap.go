@@ -83,6 +83,10 @@ type Map struct {
 	// of an integer, where the two could round to different cells.
 	invRes float64
 	bounds geom.AABB
+	// epsIn is quantizeIn's guard margin, 1e-14·(lim·invRes) for lim the
+	// largest |bounds coordinate|. It is +Inf, which fails every guard, when
+	// an in-bounds key could reach 2^30 voxels.
+	epsIn float64
 
 	chunks    map[chunkKey]*chunk
 	leafCount int
@@ -132,7 +136,7 @@ type Map struct {
 	memoMaxRange float64
 	memoPoints   []geom.Vec3
 	memoDeltas   struct{ version, rays, points uint64 }
-	// insertDirty is set by updateIn whenever a voxel value actually changes;
+	// insertDirty is set by every update that actually changes a voxel value;
 	// InsertPointCloud resets it around a scan to detect clean insertions.
 	insertDirty bool
 }
@@ -149,6 +153,12 @@ func New(resolution float64, bounds geom.AABB) *Map {
 		invRes:     1 / resolution,
 		bounds:     bounds,
 		chunks:     map[chunkKey]*chunk{},
+	}
+	lim := max(math.Abs(bounds.Min.X), math.Abs(bounds.Min.Y), math.Abs(bounds.Min.Z),
+		math.Abs(bounds.Max.X), math.Abs(bounds.Max.Y), math.Abs(bounds.Max.Z))
+	m.epsIn = 1e-14 * (lim * m.invRes)
+	if !(lim*m.invRes < 1<<30) { // also a NaN or infinite bound or resolution
+		m.epsIn = math.Inf(1)
 	}
 	m.initGrid()
 	return m
@@ -173,13 +183,15 @@ func (m *Map) initGrid() {
 	if nx <= 0 || ny <= 0 || nz <= 0 {
 		return
 	}
-	total := nx * ny * nz
-	if total > maxGridChunks {
+	// A chunk coordinate is an int32 key shifted right by chunkBits, so each
+	// extent is at most 2^28. Checking the partial products in turn keeps
+	// every product below 2^22·2^28: none overflows int64.
+	if nx > maxGridChunks || nx*ny > maxGridChunks || nx*ny*nz > maxGridChunks {
 		return
 	}
 	m.gridMin = cmin
 	m.gridDim = [3]int32{int32(nx), int32(ny), int32(nz)}
-	m.grid = make([]*chunk, total)
+	m.grid = make([]*chunk, nx*ny*nz)
 }
 
 // gridIndex maps a chunk coordinate to its dense-directory slot. The unsigned
@@ -271,15 +283,11 @@ func (m *Map) VoxelCenter(p geom.Vec3) geom.Vec3 {
 	return m.center(m.key(p))
 }
 
+// update applies a log-odds delta to one voxel. InsertRay's free-space loop
+// inlines the miss case of this update.
 func (m *Map) update(k voxelKey, delta float64) {
 	ck, li := chunkOf(k)
-	m.updateIn(m.chunkCreate(ck), li, delta)
-}
-
-// updateIn applies a log-odds delta to one voxel of an already-resolved
-// chunk. Ray insertion resolves the chunk once per chunk transition and
-// funnels every voxel of the run through here.
-func (m *Map) updateIn(c *chunk, li int, delta float64) {
+	c := m.chunkCreate(ck)
 	// An unknown voxel's slot holds 0.0, the same implicit default a missing
 	// hash-map entry used to read — update arithmetic stays bit-identical.
 	v0 := c.logOdds[li]
@@ -325,30 +333,57 @@ func (m *Map) MarkFree(p geom.Vec3) {
 	m.update(m.key(p), logOddsMiss)
 }
 
-// rayBatch is the chunk cursor threaded through batched ray insertion: the
-// chunk holding the previous sample, so runs of samples in the same chunk
-// skip chunk resolution entirely. Chunk pointers are stable for the life of
-// the map (Clear replaces the directory wholesale), so a cursor can safely
-// persist across the rays of a scan.
-type rayBatch struct {
-	ck chunkKey
-	c  *chunk
-}
-
-// mark applies one log-odds update at p through the batch cursor, resolving
-// the chunk only on chunk transitions.
-func (b *rayBatch) mark(m *Map, p geom.Vec3, delta float64) {
-	ck, li := chunkOf(m.key(p))
-	if b.c == nil || ck != b.ck {
-		b.ck, b.c = ck, m.chunkCreate(ck)
+// quantizeIn is quantize for an in-bounds coordinate, cheap enough to
+// inline: it floors by truncation instead of calling math.Floor, and its
+// guard margin is the per-map constant epsIn.
+//
+//   - |x| ≤ lim, and rounding is monotone, so |q| ≤ fl(lim·invRes) < 2^30
+//     whenever epsIn is finite: int32(q) is q truncated toward zero, and
+//     stepping it down when it lies above q gives floor(q), the value
+//     quantize's fast path converts.
+//   - d is then quantize's q − floor(q), and epsIn = fl(1e-14·fl(lim·invRes))
+//     ≥ fl(1e-14·|q|), quantize's margin, again by monotone rounding. So the
+//     guard passes only where quantize's passes, and both return floor(q).
+//     Where it fails, quantizeIn returns the division quantize falls back
+//     to, which quantize's own argument equates with floor(q) wherever
+//     quantize's guard passes.
+func (m *Map) quantizeIn(x float64) int32 {
+	q := x * m.invRes
+	i := int32(q)
+	f := float64(i)
+	if f > q {
+		i, f = i-1, f-1
 	}
-	m.updateIn(b.c, li, delta)
+	if d := q - f; d > m.epsIn && 1-d > m.epsIn {
+		return i
+	}
+	return int32(math.Floor(x / m.resolution))
 }
 
-// insertRayBatch is InsertRay with the chunk cursor supplied by the caller.
-// The update sequence (sample order, deltas, bounds filtering) is exactly the
-// seed's MarkFree/MarkOccupied loop, so results are bit-identical.
-func (m *Map) insertRayBatch(origin, end geom.Vec3, maxRange float64, b *rayBatch) {
+// InsertRay carves free space from origin to end and marks the endpoint
+// occupied (the standard OctoMap insertRay). Its free-space loop applies the
+// same updates, in the same order, as sending each in-bounds sample through
+// MarkFree, so the result is bit-identical; it only does less work per
+// sample:
+//
+//   - Bounds are checked per ray, not per sample. On each axis a sample
+//     origin + span·t is monotone in t, because correctly rounded multiply
+//     and add are monotone. So the in-bounds samples are one contiguous run
+//     [lo, hi), and since the samples have t in [0, 1), it is all of them
+//     when origin (t = 0) and origin.Add(span) (t = 1) are in bounds.
+//     Otherwise a scan finds the run's ends.
+//   - Keys come from the inlined quantizeIn.
+//   - The miss update has no branch on the clamps. Every stored log-odds
+//     lies in [logOddsMin, logOddsMax], so v0+logOddsMiss never exceeds
+//     logOddsMax, and Go's float max differs from the floor clamp only on
+//     NaN or signed zeros, neither of which occurs. v is stored even when
+//     v == v0, which happens only at logOddsMin, with the same bits. A miss
+//     never raises the value, so the only threshold crossing is downward.
+//   - The chunk cursor, the dirty flag and the new-leaf count live in
+//     locals and are written back once; the run makes hi−lo voxel writes.
+//
+// The endpoint hit goes through update, as MarkOccupied's does.
+func (m *Map) InsertRay(origin, end geom.Vec3, maxRange float64) {
 	dir := end.Sub(origin)
 	dist := dir.Norm()
 	if dist == 0 {
@@ -365,32 +400,61 @@ func (m *Map) insertRayBatch(origin, end geom.Vec3, maxRange float64, b *rayBatc
 	// the identical subtract/multiply/add Lerp would, so p is bit-identical.
 	span := end.Sub(origin)
 	fsteps := float64(steps)
-	for i := 0; i < steps; i++ {
+	sample := func(i int) geom.Vec3 {
 		t := float64(i) / fsteps
-		p := geom.Vec3{X: origin.X + span.X*t, Y: origin.Y + span.Y*t, Z: origin.Z + span.Z*t}
-		if m.bounds.Contains(p) {
-			b.mark(m, p, logOddsMiss)
+		return geom.Vec3{X: origin.X + span.X*t, Y: origin.Y + span.Y*t, Z: origin.Z + span.Z*t}
+	}
+	lo, hi := 0, max(steps, 0) // steps < 0 when dist is not finite
+	if !m.bounds.Contains(origin) || !m.bounds.Contains(origin.Add(span)) {
+		for lo < steps && !m.bounds.Contains(sample(lo)) {
+			lo++
+		}
+		for hi = lo; hi < steps && m.bounds.Contains(sample(hi)); hi++ {
 		}
 	}
+	var (
+		ck        chunkKey
+		c         *chunk
+		dirty     bool
+		newLeaves int
+	)
+	for i := lo; i < hi; i++ {
+		p := sample(i)
+		kx, ky, kz := m.quantizeIn(p.X), m.quantizeIn(p.Y), m.quantizeIn(p.Z)
+		if kc := (chunkKey{kx >> chunkBits, ky >> chunkBits, kz >> chunkBits}); c == nil || kc != ck {
+			ck, c = kc, m.chunkCreate(kc)
+		}
+		li := int(kx&chunkMask) | int(ky&chunkMask)<<chunkBits | int(kz&chunkMask)<<(2*chunkBits)
+
+		v0 := c.logOdds[li]
+		v := max(v0+logOddsMiss, logOddsMin)
+		c.logOdds[li] = v
+		dirty = dirty || v != v0
+		w, bit := li>>6&(chunkWords-1), uint(li&63) // the mask drops the bounds checks
+		if v0 > occupiedLogOdds && v <= occupiedLogOdds {
+			c.occ--
+			c.occBits[w] ^= 1 << bit
+		}
+		kw := c.known[w]
+		nb := (^kw >> bit) & 1 // 1 if the voxel was unknown
+		c.known[w] = kw | 1<<bit
+		c.count += int32(nb)
+		newLeaves += int(nb)
+	}
+	m.leafCount += newLeaves
+	m.version += uint64(hi - lo)
+	if dirty {
+		m.insertDirty = true
+	}
 	if !truncated && m.bounds.Contains(end) {
-		b.mark(m, end, logOddsHit)
+		m.update(m.key(end), logOddsHit)
 		m.pointsAdded++
 	}
 	m.raysTraced++
 }
 
-// InsertRay carves free space from origin to end and marks the endpoint
-// occupied (the standard OctoMap insertRay).
-func (m *Map) InsertRay(origin, end geom.Vec3, maxRange float64) {
-	var b rayBatch
-	m.insertRayBatch(origin, end, maxRange, &b)
-}
-
 // InsertPointCloud integrates a sensor scan: each point carves a free ray
-// from the sensor origin and marks its endpoint occupied. The batch threads
-// one chunk cursor through every ray of the scan — consecutive rays sweep
-// nearly identical chunk runs, so chunk resolution is amortised to roughly
-// one lookup per chunk transition for the whole depth image.
+// from the sensor origin and marks its endpoint occupied.
 func (m *Map) InsertPointCloud(origin geom.Vec3, points []geom.Vec3, maxRange float64) {
 	if m.memoValid && m.memoClean && m.version == m.memoVersion &&
 		origin == m.memoOrigin && maxRange == m.memoMaxRange && vecsEqual(points, m.memoPoints) {
@@ -407,9 +471,8 @@ func (m *Map) InsertPointCloud(origin geom.Vec3, points []geom.Vec3, maxRange fl
 	}
 	v0, r0, p0, l0 := m.version, m.raysTraced, m.pointsAdded, m.leafCount
 	m.insertDirty = false
-	var b rayBatch
 	for _, p := range points {
-		m.insertRayBatch(origin, p, maxRange, &b)
+		m.InsertRay(origin, p, maxRange)
 	}
 	m.inserts++
 	m.memoValid = true

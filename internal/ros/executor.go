@@ -23,6 +23,10 @@ type Executor struct {
 	jobsRun   uint64
 	waitTotal time.Duration
 
+	// doneNames maps a node to its job-done event name, built once per node
+	// rather than concatenated on every job.
+	doneNames map[string]string
+
 	// onKernel, when set, is invoked for every completed job with its kernel
 	// attribution. The telemetry recorder, which keeps the per-kernel
 	// ledger, hooks in here.
@@ -42,7 +46,7 @@ func NewExecutor(engine *des.Engine, cores int) *Executor {
 	if cores < 1 {
 		cores = 1
 	}
-	return &Executor{engine: engine, cores: cores}
+	return &Executor{engine: engine, cores: cores, doneNames: map[string]string{}}
 }
 
 // Cores returns the number of virtual cores.
@@ -93,7 +97,12 @@ func (e *Executor) start(j *job) {
 		e.onKernel(res.Kernel, j.node, cost, now, now+cost)
 	}
 
-	e.engine.Schedule(cost, "ros/job-done:"+j.node, func(*des.Engine) {
+	name, ok := e.doneNames[j.node]
+	if !ok {
+		name = "ros/job-done:" + j.node
+		e.doneNames[j.node] = name
+	}
+	e.engine.Schedule(cost, name, func(*des.Engine) {
 		e.busy--
 		if j.onDone != nil {
 			j.onDone()

@@ -1,6 +1,7 @@
 package ros
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -311,6 +312,28 @@ func TestExecutorZeroCostJob(t *testing.T) {
 	}
 	if eng.Now() != 0 {
 		t.Errorf("zero-cost job should not advance time, now=%v", eng.Now())
+	}
+}
+
+// TestExecutorJobDoneEventNames: every job completes with an event named
+// "ros/job-done:<node>", the prefix the benchmark's tracer classifies by,
+// also when the name comes from the executor's per-node cache.
+func TestExecutorJobDoneEventNames(t *testing.T) {
+	eng := des.NewEngine()
+	ex := NewExecutor(eng, 1)
+	var names []string
+	eng.SetTracer(func(ev des.Event) { names = append(names, ev.Name) })
+	for _, node := range []string{"mapper", "mapper", "planner"} {
+		ex.Submit(node, func(now time.Duration) CallbackResult {
+			return CallbackResult{Cost: time.Millisecond}
+		}, nil)
+	}
+	if err := eng.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"ros/job-done:mapper", "ros/job-done:mapper", "ros/job-done:planner"}
+	if !slices.Equal(names, want) {
+		t.Errorf("events %q, want %q", names, want)
 	}
 }
 
