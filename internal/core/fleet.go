@@ -10,6 +10,7 @@ import (
 	"mavbench/internal/compute"
 	"mavbench/internal/env"
 	"mavbench/internal/geom"
+	"mavbench/internal/physics"
 	"mavbench/internal/sim"
 	"mavbench/internal/telemetry"
 )
@@ -37,7 +38,7 @@ func runFleet(p Params, w Workload, platform compute.Platform, world *env.World,
 		cfg := simConfig(pi, platform)
 		cfg.VehicleIndex = i
 		cfg.VehicleCount = n
-		si, err := sim.New(cfg, wi, fleetStart(wi, start, i, n, cfg.VehicleParams.RadiusM))
+		si, err := sim.New(cfg, wi, fleetStart(wi, start, i, n, physics.DefaultParams().RadiusM))
 		if err != nil {
 			return Result{}, fmt.Errorf("core: building drone %d/%d for %s: %w", i, n, p.Workload, err)
 		}

@@ -130,9 +130,8 @@ func clampCell(c, n int) int {
 }
 
 // castStatic intersects the ray against the indexed static obstacles and
-// returns the updated minimum hit distance. best carries any hit already
-// found on the linear (rest) scan; maxRange bounds how far a hit can matter
-// to the caller.
+// returns the updated minimum hit distance. best carries the ground-plane
+// hit, if any; maxRange bounds how far a hit can matter to the caller.
 func (idx *obstacleIndex) castStatic(ray geom.Ray, maxRange, best float64) float64 {
 	if idx.cells == nil {
 		for _, o := range idx.static {

@@ -75,11 +75,10 @@ func (o *Obstacle) IsDynamic() bool { return o.Speed > 0 }
 
 // World is a bounded 3-D environment.
 //
-// Geometry queries — RayCast, CastStatic, CastDynamic and
-// NearestObstacleWithin — run on a lazily built index (see
-// obstacle_index.go) and reuse scratch state, so a World is not safe for
-// concurrent use, not even for queries alone; give each goroutine its own
-// Clone.
+// Geometry queries — RayCast, Cast and NearestObstacleWithin — run on a
+// lazily built index (see obstacle_index.go) and reuse scratch state, so a
+// World is not safe for concurrent use, not even for queries alone; give
+// each goroutine its own Clone.
 type World struct {
 	Name   string
 	Bounds geom.AABB
@@ -98,14 +97,10 @@ type World struct {
 	idx *obstacleIndex
 
 	// version counts geometry changes (obstacles added, moved, or stepped).
-	// staticVersion counts only the non-Step changes (obstacles added or
-	// moved), so it is stable while only dynamic obstacles patrol. Sensors
-	// use the pair to detect which parts of the scene changed between
-	// captures.
-	version       uint64
-	staticVersion uint64
+	// Sensors use it to detect that the scene is unchanged between captures.
+	version uint64
 
-	// Per-frame dynamic prefilter for CastDynamic: the moving obstacles
+	// Per-frame dynamic prefilter for Cast: the moving obstacles
 	// within range of one cast origin. A depth frame casts ~2k rays from the
 	// same origin against the same obstacle positions, so the reachable
 	// subset is computed once per (version, origin, range) and reused.
@@ -241,7 +236,6 @@ func (w *World) AddObstacle(kind ObstacleKind, box geom.AABB, label string) *Obs
 	w.obstacles = append(w.obstacles, o)
 	w.idx = nil
 	w.version++
-	w.staticVersion++
 	return o
 }
 
@@ -263,18 +257,12 @@ func (w *World) MoveObstacle(o *Obstacle, box geom.AABB) {
 	o.Box = box
 	w.idx = nil
 	w.version++
-	w.staticVersion++
 }
 
 // Version returns a counter that increases whenever world geometry changes
 // (obstacles added, repositioned, or advanced by Step). Two calls observing
 // the same version are guaranteed to see identical geometry.
 func (w *World) Version() uint64 { return w.version }
-
-// StaticVersion is like Version but ignores Step: it only advances when
-// obstacles are added or explicitly repositioned. While it is stable, the
-// ground plane and every non-patrolling obstacle are guaranteed unchanged.
-func (w *World) StaticVersion() uint64 { return w.staticVersion }
 
 // Obstacles returns all obstacles (callers must not mutate the slice, nor
 // write a static obstacle's Box directly — see MoveObstacle).
@@ -369,31 +357,27 @@ func (w *World) SegmentCollides(a, b geom.Vec3, radius float64) bool {
 // RayCast returns the distance from origin along dir (which need not be
 // normalized) to the first obstacle or ground hit, up to maxRange. The
 // boolean reports whether anything was hit within range.
-//
-// The cast is split into CastStatic (ground + non-moving obstacles) and
-// CastDynamic (patrolling obstacles) so sensors can cache the static phase
-// across frames while the MAV hovers. Each candidate hit distance is computed
-// by the same arithmetic either way and the overall result is their exact
-// minimum, so the split (and any caching of the static phase) is
-// bit-identical to a single pass.
 func (w *World) RayCast(origin, dir geom.Vec3, maxRange float64) (float64, bool) {
 	d := dir.Unit()
 	if d.IsZero() || maxRange <= 0 {
 		return 0, false
 	}
-	best := w.CastStatic(origin, d, maxRange)
-	best = w.CastDynamic(origin, d, maxRange, best)
+	best := w.Cast(origin, d, maxRange)
 	if best > maxRange {
 		return 0, false
 	}
 	return best, true
 }
 
-// CastStatic returns the exact distance along unit direction d to the nearest
-// ground-plane or static-obstacle hit, or +Inf when there is none. The result
-// is a pure function of the static scene (see StaticVersion); it may exceed
-// maxRange, which only bounds how far the acceleration grid must be walked.
-func (w *World) CastStatic(origin, d geom.Vec3, maxRange float64) float64 {
+// Cast returns the exact distance along unit direction d to the nearest
+// ground-plane or obstacle hit, or +Inf when there is none. The result may
+// exceed maxRange, which only bounds how far the search must reach: static
+// obstacles are walked on the index grid up to it, and moving obstacles
+// entirely farther than maxRange from the origin are skipped. Any hit of
+// theirs has t >= that distance > maxRange, and such a candidate never
+// changes the outcome of a cast bounded by maxRange (it is "no return"
+// either way), so the prefilter is bit-identical to the full scan.
+func (w *World) Cast(origin, d geom.Vec3, maxRange float64) float64 {
 	best := math.Inf(1)
 	// Ground plane first: the minimum over all hit candidates is
 	// order-independent, and seeding best with the ground hit lets the grid
@@ -405,17 +389,10 @@ func (w *World) CastStatic(origin, d geom.Vec3, maxRange float64) float64 {
 			best = t
 		}
 	}
-	return w.index().castStatic(geom.Ray{Origin: origin, Dir: d}, maxRange, best)
-}
-
-// CastDynamic folds the moving obstacles into best and returns the updated
-// minimum hit distance. d must be a unit direction. Obstacles entirely
-// farther than maxRange from the origin are skipped: any hit of theirs has
-// t >= that distance > maxRange, and such a candidate never changes the
-// outcome of a cast bounded by maxRange (it is "no return" either way) —
-// so the prefilter is bit-identical to the full scan.
-func (w *World) CastDynamic(origin, d geom.Vec3, maxRange, best float64) float64 {
-	rest := w.index().rest
+	ray := geom.Ray{Origin: origin, Dir: d}
+	idx := w.index()
+	best = idx.castStatic(ray, maxRange, best)
+	rest := idx.rest
 	if len(rest) > 2 {
 		// rangeSlack keeps an obstacle whose distance lands within float
 		// error of the boundary; testing an extra obstacle is harmless.
@@ -431,7 +408,6 @@ func (w *World) CastDynamic(origin, d geom.Vec3, maxRange, best float64) float64
 		}
 		rest = w.dynNear
 	}
-	ray := geom.Ray{Origin: origin, Dir: d}
 	for _, o := range rest {
 		if t, ok := ray.IntersectAABB(o.Box); ok && t < best {
 			best = t

@@ -230,7 +230,7 @@ func scriptedMissionPower(cruise float64) []Fig9bRow {
 		a.n++
 	}
 	var rows []Fig9bRow
-	dt := cfg.PhysicsStepS
+	dt := sim.PhysicsStepS
 	for _, ph := range order {
 		a := perPhase[ph]
 		rows = append(rows, Fig9bRow{

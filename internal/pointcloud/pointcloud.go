@@ -80,12 +80,6 @@ type Options struct {
 	MinRange float64
 }
 
-// DefaultOptions matches the benchmark configuration: a 8x decimation of the
-// 640x480 depth image bounded to the camera's range.
-func DefaultOptions() Options {
-	return Options{Stride: 8, MaxRange: 20, MinRange: 0.3}
-}
-
 // FromDepthImage back-projects a depth image into a world-frame point cloud
 // using the camera intrinsics it was captured with.
 func FromDepthImage(img *sensors.DepthImage, in sensors.CameraIntrinsics, opts Options) *Cloud {

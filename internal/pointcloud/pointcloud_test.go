@@ -10,13 +10,28 @@ import (
 	"mavbench/internal/sensors"
 )
 
+// wallOptions decimates the 640x480 test frame 8x and bounds it to the
+// camera's range.
+var wallOptions = Options{Stride: 8, MaxRange: 20, MinRange: 0.3}
+
+// newCamera returns the default 640x480 depth camera upsampled from a 64x48
+// ray grid.
+func newCamera(t *testing.T) *sensors.DepthCamera {
+	t.Helper()
+	cam, err := sensors.NewDepthCamera(sensors.DefaultIntrinsics(), 64, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cam
+}
+
 func captureWallCloud(t *testing.T) (*Cloud, sensors.CameraIntrinsics) {
 	t.Helper()
 	w := env.New("wall", geom.NewAABB(geom.V3(-50, -50, 0), geom.V3(50, 50, 30)), 1)
 	w.AddObstacle(env.KindStructure, geom.NewAABB(geom.V3(10, -20, 0), geom.V3(11, 20, 20)), "wall")
-	cam := sensors.NewDepthCamera()
+	cam := newCamera(t)
 	img := cam.Capture(w, geom.NewPose(geom.V3(0, 0, 5), 0), 3.0)
-	return FromDepthImage(img, cam.Intrinsics, DefaultOptions()), cam.Intrinsics
+	return FromDepthImage(img, cam.Intrinsics(), wallOptions), cam.Intrinsics()
 }
 
 func TestFromDepthImageProjectsWall(t *testing.T) {
@@ -52,12 +67,12 @@ func TestFromDepthImageProjectsWall(t *testing.T) {
 func TestFromDepthImageRangeFilters(t *testing.T) {
 	w := env.New("near", geom.NewAABB(geom.V3(-50, -50, 0), geom.V3(50, 50, 30)), 1)
 	w.AddObstacle(env.KindStructure, geom.NewAABB(geom.V3(0.1, -20, 0), geom.V3(0.2, 20, 20)), "near-wall")
-	cam := sensors.NewDepthCamera()
+	cam := newCamera(t)
 	img := cam.Capture(w, geom.NewPose(geom.V3(0, 0, 5), 0), 0)
 
-	opts := DefaultOptions()
+	opts := wallOptions
 	opts.MinRange = 1.0
-	cloud := FromDepthImage(img, cam.Intrinsics, opts)
+	cloud := FromDepthImage(img, cam.Intrinsics(), opts)
 	for _, p := range cloud.Points {
 		if p.Dist(geom.V3(0, 0, 5)) < 1.0-1e-9 {
 			t.Fatalf("point %v closer than MinRange", p)
@@ -68,16 +83,16 @@ func TestFromDepthImageRangeFilters(t *testing.T) {
 func TestStrideReducesPointCount(t *testing.T) {
 	w := env.New("wall", geom.NewAABB(geom.V3(-50, -50, 0), geom.V3(50, 50, 30)), 1)
 	w.AddObstacle(env.KindStructure, geom.NewAABB(geom.V3(10, -20, 0), geom.V3(11, 20, 20)), "wall")
-	cam := sensors.NewDepthCamera()
+	cam := newCamera(t)
 	img := cam.Capture(w, geom.NewPose(geom.V3(0, 0, 5), 0), 0)
 
-	dense := FromDepthImage(img, cam.Intrinsics, Options{Stride: 4, MaxRange: 20})
-	sparse := FromDepthImage(img, cam.Intrinsics, Options{Stride: 16, MaxRange: 20})
+	dense := FromDepthImage(img, cam.Intrinsics(), Options{Stride: 4, MaxRange: 20})
+	sparse := FromDepthImage(img, cam.Intrinsics(), Options{Stride: 16, MaxRange: 20})
 	if sparse.Len() >= dense.Len() {
 		t.Errorf("stride 16 (%d points) should give fewer points than stride 4 (%d)", sparse.Len(), dense.Len())
 	}
 	// Stride < 1 is clamped.
-	clamped := FromDepthImage(img, cam.Intrinsics, Options{Stride: 0, MaxRange: 20})
+	clamped := FromDepthImage(img, cam.Intrinsics(), Options{Stride: 0, MaxRange: 20})
 	if clamped.Len() == 0 {
 		t.Error("clamped stride should still produce points")
 	}

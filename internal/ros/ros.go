@@ -2,12 +2,12 @@
 // MAVBench workload on the (virtual) companion computer.
 //
 // The original benchmark suite runs as a graph of ROS nodes that communicate
-// through publish/subscribe topics and blocking service calls, scheduled by
-// the Linux kernel onto the TX2's CPU cores. This package reproduces the
-// pieces of that runtime the evaluation depends on:
+// through publish/subscribe topics, scheduled by the Linux kernel onto the
+// TX2's CPU cores. This package reproduces the pieces of that runtime the
+// evaluation depends on:
 //
-//   - a node graph with topics (non-blocking FIFO pub/sub) and services
-//     (blocking request/response), mirroring Figure 7's dataflows;
+//   - a node graph with topics (non-blocking FIFO pub/sub with bounded
+//     subscriber queues), mirroring Figure 7's dataflows;
 //   - an executor that owns a fixed number of virtual cores; every callback
 //     declares its compute cost and occupies one core for that much virtual
 //     time, so core-count scaling and queuing delays emerge naturally;
@@ -19,8 +19,6 @@
 package ros
 
 import (
-	"fmt"
-	"sort"
 	"time"
 
 	"mavbench/internal/des"
@@ -44,18 +42,13 @@ type CallbackResult struct {
 // Handler processes one message and reports its compute cost.
 type Handler func(now time.Duration, msg Message) CallbackResult
 
-// ServiceHandler processes a service request and returns a response together
-// with its compute cost.
-type ServiceHandler func(now time.Duration, req Message) (Message, CallbackResult)
-
 // Graph is the node graph plus its executor. It is the MAVBench "companion
 // computer" runtime.
 type Graph struct {
 	engine *des.Engine
 
-	topics   map[string]*Topic
-	services map[string]*Service
-	nodes    map[string]*Node
+	topics map[string]*Topic
+	nodes  map[string]*Node
 
 	exec *Executor
 }
@@ -64,10 +57,9 @@ type Graph struct {
 // with the given number of cores, scheduled on engine.
 func NewGraph(engine *des.Engine, cores int) *Graph {
 	g := &Graph{
-		engine:   engine,
-		topics:   map[string]*Topic{},
-		services: map[string]*Service{},
-		nodes:    map[string]*Node{},
+		engine: engine,
+		topics: map[string]*Topic{},
+		nodes:  map[string]*Node{},
 	}
 	g.exec = NewExecutor(engine, cores)
 	return g
@@ -89,16 +81,6 @@ func (g *Graph) Node(name string) *Node {
 	return n
 }
 
-// Nodes returns the registered node names in sorted order.
-func (g *Graph) Nodes() []string {
-	names := make([]string, 0, len(g.nodes))
-	for n := range g.nodes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Topic returns (creating if needed) the topic with the given name.
 func (g *Graph) Topic(name string) *Topic {
 	if t, ok := g.topics[name]; ok {
@@ -109,32 +91,15 @@ func (g *Graph) Topic(name string) *Topic {
 	return t
 }
 
-// Service returns the registered service with the given name, or nil.
-func (g *Graph) Service(name string) *Service { return g.services[name] }
-
-// Node is a named participant in the graph. Nodes exist mostly for
-// accounting and introspection; subscriptions and publications are expressed
-// through them so dataflow diagrams (Figure 7) can be reconstructed.
+// Node is a named participant in the graph. The executor attributes each
+// callback's compute time to the node that subscribed it.
 type Node struct {
 	name  string
 	graph *Graph
-
-	subscriptions []string
-	publications  []string
-	services      []string
 }
 
 // Name returns the node's name.
 func (n *Node) Name() string { return n.name }
-
-// Subscriptions returns the topic names the node subscribes to.
-func (n *Node) Subscriptions() []string { return append([]string(nil), n.subscriptions...) }
-
-// Publications returns the topic names the node publishes to.
-func (n *Node) Publications() []string { return append([]string(nil), n.publications...) }
-
-// Services returns the service names the node provides.
-func (n *Node) Services() []string { return append([]string(nil), n.services...) }
 
 // Subscribe registers handler for every message published on topic. Messages
 // are dispatched through the executor, so the handler's reported cost
@@ -142,26 +107,7 @@ func (n *Node) Services() []string { return append([]string(nil), n.services...)
 // undelivered messages per subscription; when the queue is full the oldest
 // message is dropped, like a ROS subscriber with a bounded queue.
 func (n *Node) Subscribe(topic string, queueDepth int, handler Handler) {
-	t := n.graph.Topic(topic)
-	t.subscribe(n, queueDepth, handler)
-	n.subscriptions = append(n.subscriptions, topic)
-}
-
-// Publisher declares that the node publishes on the topic and returns a
-// publish function bound to it.
-func (n *Node) Publisher(topic string) func(Message) {
-	t := n.graph.Topic(topic)
-	n.publications = append(n.publications, topic)
-	return func(msg Message) { t.Publish(msg) }
-}
-
-// ProvideService registers a blocking service under the given name.
-func (n *Node) ProvideService(name string, handler ServiceHandler) {
-	if handler == nil {
-		panic("ros: ProvideService with nil handler")
-	}
-	n.graph.services[name] = &Service{name: name, node: n, handler: handler, graph: n.graph}
-	n.services = append(n.services, name)
+	n.graph.Topic(topic).subscribe(n, queueDepth, handler)
 }
 
 // Topic is a named pub/sub channel.
@@ -244,48 +190,4 @@ func (t *Topic) dispatch(sub *subscription, msg Message) {
 			t.dispatch(sub, next)
 		}
 	})
-}
-
-// Service is a blocking request/response endpoint.
-type Service struct {
-	name    string
-	node    *Node
-	handler ServiceHandler
-	graph   *Graph
-	calls   uint64
-}
-
-// Name returns the service name.
-func (s *Service) Name() string { return s.name }
-
-// Calls returns how many times the service has been invoked.
-func (s *Service) Calls() uint64 { return s.calls }
-
-// Call invokes the service asynchronously on the executor: the handler's
-// cost is charged on a core and done is invoked with the response once it
-// completes. This mirrors a ROS service call made from a node that continues
-// only when the response arrives.
-func (s *Service) Call(req Message, done func(resp Message)) {
-	s.calls++
-	var resp Message
-	s.graph.exec.Submit(s.node.name, func(now time.Duration) CallbackResult {
-		r, res := s.handler(now, req)
-		resp = r
-		return res
-	}, func() {
-		if done != nil {
-			done(resp)
-		}
-	})
-}
-
-// CallService looks up and calls the named service, returning an error when
-// the service does not exist.
-func (g *Graph) CallService(name string, req Message, done func(resp Message)) error {
-	s := g.services[name]
-	if s == nil {
-		return fmt.Errorf("ros: unknown service %q", name)
-	}
-	s.Call(req, done)
-	return nil
 }

@@ -25,11 +25,10 @@ func TestPubSubDelivery(t *testing.T) {
 		return CallbackResult{Cost: time.Millisecond, Kernel: "k"}
 	})
 
-	pub := g.Node("publisher")
-	publish := pub.Publisher("numbers")
+	numbers := g.Topic("numbers")
 	eng.Schedule(0, "pub", func(*des.Engine) {
 		for i := 0; i < 5; i++ {
-			publish(i)
+			numbers.Publish(i)
 		}
 	})
 	if err := eng.Run(0); err != nil {
@@ -59,10 +58,10 @@ func TestCoreLimitedExecution(t *testing.T) {
 		g := NewGraph(eng, cores)
 		n := g.Node("worker")
 		n.Subscribe("work", 16, costOnly(100*time.Millisecond, "heavy"))
-		pub := g.Node("source").Publisher("work")
+		work := g.Topic("work")
 		eng.Schedule(0, "pub", func(*des.Engine) {
 			for i := 0; i < 4; i++ {
-				pub(i)
+				work.Publish(i)
 			}
 		})
 		if err := eng.Run(0); err != nil {
@@ -159,80 +158,21 @@ func TestQueueOverflowDropsOldest(t *testing.T) {
 	}
 }
 
-func TestServiceCall(t *testing.T) {
-	eng := des.NewEngine()
-	g := NewGraph(eng, 2)
-	server := g.Node("planner")
-	server.ProvideService("plan", func(now time.Duration, req Message) (Message, CallbackResult) {
-		return req.(int) * 2, CallbackResult{Cost: 200 * time.Millisecond, Kernel: "planning"}
-	})
-
-	var resp int
-	var respAt time.Duration
-	eng.Schedule(0, "call", func(*des.Engine) {
-		err := g.CallService("plan", 21, func(m Message) {
-			resp = m.(int)
-			respAt = eng.Now()
-		})
-		if err != nil {
-			t.Errorf("CallService: %v", err)
-		}
-	})
-	if err := eng.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if resp != 42 {
-		t.Errorf("response = %d, want 42", resp)
-	}
-	if respAt != 200*time.Millisecond {
-		t.Errorf("response arrived at %v, want 200ms", respAt)
-	}
-	if g.Service("plan").Calls() != 1 {
-		t.Errorf("Calls = %d", g.Service("plan").Calls())
-	}
-	if g.Service("plan").Name() != "plan" {
-		t.Errorf("Name = %q", g.Service("plan").Name())
-	}
-}
-
-func TestCallUnknownService(t *testing.T) {
-	g := NewGraph(des.NewEngine(), 1)
-	if err := g.CallService("nope", nil, nil); err == nil {
-		t.Error("expected error for unknown service")
-	}
-	if g.Service("nope") != nil {
-		t.Error("Service should return nil for unknown name")
-	}
-}
-
 func TestNodeIntrospection(t *testing.T) {
 	g := NewGraph(des.NewEngine(), 2)
 	n := g.Node("camera")
-	n.Publisher("images")
 	n.Subscribe("trigger", 1, costOnly(0, ""))
-	n.ProvideService("calibrate", func(now time.Duration, req Message) (Message, CallbackResult) {
-		return nil, CallbackResult{}
-	})
 
 	if got := n.Name(); got != "camera" {
 		t.Errorf("Name = %q", got)
 	}
-	if got := n.Publications(); len(got) != 1 || got[0] != "images" {
-		t.Errorf("Publications = %v", got)
-	}
-	if got := n.Subscriptions(); len(got) != 1 || got[0] != "trigger" {
-		t.Errorf("Subscriptions = %v", got)
-	}
-	if got := n.Services(); len(got) != 1 || got[0] != "calibrate" {
-		t.Errorf("Services = %v", got)
-	}
-	// Node() returns the same instance for the same name.
+	// Node() returns the same instance for the same name, and Topic() the
+	// same topic, so a second lookup sees the subscription.
 	if g.Node("camera") != n {
 		t.Error("Node should be idempotent")
 	}
-	nodes := g.Nodes()
-	if len(nodes) != 1 || nodes[0] != "camera" {
-		t.Errorf("Nodes = %v", nodes)
+	if got := g.Topic("trigger"); got.Name() != "trigger" || got.Subscribers() != 1 {
+		t.Errorf("Topic(trigger) = %q with %d subscribers, want one", got.Name(), got.Subscribers())
 	}
 	if g.Engine() == nil || g.Executor() == nil {
 		t.Error("accessors returned nil")
@@ -361,16 +301,6 @@ func TestSubscribeNilHandlerPanics(t *testing.T) {
 	}()
 	g := NewGraph(des.NewEngine(), 1)
 	g.Node("n").Subscribe("t", 1, nil)
-}
-
-func TestProvideNilServicePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	g := NewGraph(des.NewEngine(), 1)
-	g.Node("n").ProvideService("s", nil)
 }
 
 func TestPipelineLatencyAcrossStages(t *testing.T) {

@@ -29,7 +29,9 @@ type CameraIntrinsics struct {
 }
 
 // DefaultIntrinsics returns the 640x480, 90-degree, 20 m-range RGB-D camera
-// the benchmark uses.
+// the benchmark uses. 640x480 is the RGB frame; the closed-loop depth camera
+// keeps the field of view and range but renders its own ray grid's size (see
+// sim.New).
 func DefaultIntrinsics() CameraIntrinsics {
 	return CameraIntrinsics{Width: 640, Height: 480, HorizontalFOV: math.Pi / 2, MaxRange: 20}
 }
@@ -39,10 +41,13 @@ func (c CameraIntrinsics) Validate() error {
 	if c.Width <= 0 || c.Height <= 0 {
 		return fmt.Errorf("sensors: non-positive image size %dx%d", c.Width, c.Height)
 	}
-	if c.HorizontalFOV <= 0 || c.HorizontalFOV >= math.Pi {
+	if !(c.HorizontalFOV > 0 && c.HorizontalFOV < math.Pi) {
 		return fmt.Errorf("sensors: horizontal FOV %v out of (0, pi)", c.HorizontalFOV)
 	}
-	if c.MaxRange <= 0 {
+	if vf := c.VerticalFOV(); !(vf > 0 && vf < math.Pi) {
+		return fmt.Errorf("sensors: vertical FOV %v of a %dx%d image out of (0, pi)", vf, c.Width, c.Height)
+	}
+	if !(c.MaxRange > 0) {
 		return errors.New("sensors: non-positive max range")
 	}
 	return nil
@@ -80,74 +85,54 @@ func (d *DepthImage) MinDepth() (float64, bool) {
 	return best, !math.IsInf(best, 1)
 }
 
-// DepthCamera produces depth images by ray casting into the world. Rays is
-// the ray-cast resolution; the full image is produced by bilinear upsampling
-// of the ray grid so that even large frames stay cheap to simulate while the
-// geometric content is preserved.
+// DepthCamera produces depth images by ray casting into the world. The ray
+// grid is fixed at construction; the full image is produced by bilinear
+// upsampling of the grid so that even large frames stay cheap to simulate
+// while the geometric content is preserved.
 //
 // A DepthCamera is owned by one simulator and is not safe for concurrent
-// use: Capture reuses an internal ray-grid scratch buffer, and Recycle feeds
-// finished frames' pixel buffers back to the next Capture.
+// use: Capture reuses internal scratch buffers, and Recycle feeds finished
+// frames' pixel buffers back to the next Capture.
 type DepthCamera struct {
-	Intrinsics CameraIntrinsics
-	// RaysX and RaysY set the ray-cast grid. Defaults (64x48) keep the
-	// simulation fast; the produced image still has Intrinsics.Width x
-	// Height pixels.
-	RaysX, RaysY int
 	// Noise, when non-nil, perturbs each depth sample (reliability case
 	// study).
 	Noise *DepthNoise
 
-	// grid is the ray-cast scratch buffer, reused across Captures.
-	grid []float64
-	// trig caches per-column azimuth cosines/sines. The ray directions only
-	// vary per column (azimuth) and per row (pitch), so the trig is evaluated
-	// once per column and row instead of once per ray — same calls, same
-	// arguments, bit-identical directions. The azimuth table depends only on
-	// (yaw, FOV, rx), so it survives across captures while the camera heading
-	// is unchanged (hovering, or translating without turning).
-	trig      []float64
-	trigYaw   float64
-	trigHF    float64
-	trigRx    int
-	trigValid bool
-	// pitchTrig caches per-row pitch cosines/sines. Pitch angles depend only
-	// on the vertical FOV and the ray-grid height — never on the pose — so the
-	// table is computed once and reused for every capture.
-	pitchTrig []float64
-	pitchVF   float64
-	pitchRy   int
-	// upsample coordinate tables: the bilinear sample position of each output
+	in     CameraIntrinsics
+	rx, ry int
+
+	// The ray directions vary only per column (azimuth) and per row (pitch),
+	// so the trig is evaluated once per column and row instead of once per
+	// ray — same calls, same arguments, bit-identical directions. Pitch
+	// depends only on the geometry, so its table (cos, sin per row) is built
+	// once; the azimuth table follows the pose's yaw and is refilled on every
+	// cast.
+	pitchTrig    []float64
+	azCos, azSin []float64
+	// Upsample coordinate tables: the bilinear sample position of each output
 	// column (resp. row) is a pure function of (Width, rx) (resp. (Height,
-	// ry)). Precomputing them hoists a divide and two conversions out of the
-	// per-pixel loop; the stored values are the exact ones the loop computed.
-	uIdx                 []int32
-	uFrac                []float64
-	vIdx                 []int32
-	vFrac                []float64
-	upW, upH, upRx, upRy int
-	// Capture cache: a noise-free capture is a pure function of the camera
-	// (intrinsics and ray grid), its pose and the world geometry. When the
-	// MAV hovers (e.g. during planning stalls) successive captures repeat the
-	// same pose over an unchanged world, and the previous frame's pixels are
-	// reused verbatim instead of re-casting every ray. The cache is keyed on
-	// the world pointer, its geometry version and the exact view, so any
-	// geometry change, motion or camera change invalidates it; with depth
-	// noise enabled it is bypassed entirely (a cached frame would skip the
-	// RNG draws and change the noise stream).
-	cacheWorld   *env.World
-	cacheVersion uint64
-	cacheView    view
-	cacheData    []float64
-	// Static-phase cache: per-ray ground+static hit distances for the last
-	// view, keyed on the world's StaticVersion. It stays valid while only
-	// dynamic obstacles move, so a hovering MAV in a world with patrolling
-	// traffic re-casts just the dynamic overlay each frame. Safe with noise
-	// enabled: the noise draw happens per final sample either way.
-	staticWorld   *env.World
-	staticVersion uint64
-	staticView    view
-	staticGrid    []float64
+	// ry)), so they are built once. The stored values are the exact ones the
+	// per-pixel loop would compute.
+	uIdx, vIdx   []int32
+	uFrac, vFrac []float64
+
+	// Last-capture cache. The per-ray distances are a pure function of the
+	// geometry, the pose and the world's obstacles, so they are keyed on the
+	// world pointer, its geometry version and the exact pose; any geometry
+	// change or motion invalidates them. They are reused with or without
+	// noise: noise is drawn per ray from the cached distances, in the same
+	// order as from fresh ones. When the MAV hovers (e.g. during planning
+	// stalls) successive captures repeat the key. pixels holds the finished
+	// noise-free frame for the key when pixelsValid; a noise-free hit copies
+	// it, and a noisy capture never uses it.
+	lastWorld   *env.World
+	lastVersion uint64
+	lastPose    geom.Pose
+	dist        []float64 // per ray; +Inf for no return within MaxRange
+	pixels      []float64
+	pixelsValid bool
+	// noisy is the scratch ray grid of a noisy capture.
+	noisy []float64
 	// free holds pixel buffers returned through Recycle, reused by the next
 	// Capture instead of allocating a fresh frame. Every element of a reused
 	// buffer is overwritten before the image is returned, so no depth values
@@ -155,17 +140,56 @@ type DepthCamera struct {
 	free [][]float64
 }
 
-// view is everything besides the world that a noise-free ray grid depends on.
-type view struct {
-	in     CameraIntrinsics
-	rx, ry int
-	pose   geom.Pose
+// NewDepthCamera returns a camera with the given intrinsics that casts an
+// rx × ry grid of rays. The image is at least 2×2 pixels and the grid at
+// least 2×2 rays, so that both span the field of view.
+func NewDepthCamera(in CameraIntrinsics, rx, ry int) (*DepthCamera, error) {
+	if err := in.Validate(); err != nil {
+		return nil, err
+	}
+	if in.Width < 2 || in.Height < 2 {
+		return nil, fmt.Errorf("sensors: depth image %dx%d is smaller than 2x2", in.Width, in.Height)
+	}
+	if rx < 2 || ry < 2 {
+		return nil, fmt.Errorf("sensors: depth ray grid %dx%d is smaller than 2x2", rx, ry)
+	}
+	c := &DepthCamera{
+		in: in, rx: rx, ry: ry,
+		pitchTrig: make([]float64, 2*ry),
+		azCos:     make([]float64, rx),
+		azSin:     make([]float64, rx),
+		uIdx:      make([]int32, in.Width),
+		uFrac:     make([]float64, in.Width),
+		vIdx:      make([]int32, in.Height),
+		vFrac:     make([]float64, in.Height),
+	}
+	vf := in.VerticalFOV()
+	for j := 0; j < ry; j++ {
+		pitch := vf * (float64(j)/float64(ry-1) - 0.5)
+		c.pitchTrig[2*j] = math.Cos(pitch)
+		c.pitchTrig[2*j+1] = math.Sin(pitch)
+	}
+	for u := 0; u < in.Width; u++ {
+		gi := float64(u) / float64(in.Width-1) * float64(rx-1)
+		i0 := int(gi)
+		if i0 >= rx-1 {
+			i0 = rx - 2
+		}
+		c.uIdx[u], c.uFrac[u] = int32(i0), gi-float64(i0)
+	}
+	for v := 0; v < in.Height; v++ {
+		gj := float64(v) / float64(in.Height-1) * float64(ry-1)
+		j0 := int(gj)
+		if j0 >= ry-1 {
+			j0 = ry - 2
+		}
+		c.vIdx[v], c.vFrac[v] = int32(j0), gj-float64(j0)
+	}
+	return c, nil
 }
 
-// NewDepthCamera returns a camera with the default intrinsics and ray grid.
-func NewDepthCamera() *DepthCamera {
-	return &DepthCamera{Intrinsics: DefaultIntrinsics(), RaysX: 64, RaysY: 48}
-}
+// Intrinsics returns the camera's intrinsics.
+func (c *DepthCamera) Intrinsics() CameraIntrinsics { return c.in }
 
 // DepthNoise is zero-mean Gaussian noise applied to each depth return,
 // mirroring the paper's Table II study (std 0 to 1.5 m).
@@ -195,119 +219,75 @@ func (n *DepthNoise) Perturb(d float64) float64 {
 // camera looks along the pose's heading with zero pitch, matching the
 // front-facing RGB-D configuration of the benchmark.
 func (c *DepthCamera) Capture(w *env.World, pose geom.Pose, timestamp float64) *DepthImage {
-	in := c.Intrinsics
-	rx, ry := c.RaysX, c.RaysY
-	if rx <= 1 {
-		rx = 64
-	}
-	if ry <= 1 {
-		ry = 48
-	}
-	vw := view{in: in, rx: rx, ry: ry, pose: pose}
-	cacheable := c.Noise == nil || c.Noise.StdDevM <= 0
-	if cacheable && c.cacheData != nil && c.cacheWorld == w &&
-		c.cacheVersion == w.Version() && c.cacheView == vw {
-		img := &DepthImage{Width: in.Width, Height: in.Height, Data: c.pixelBuffer(in.Width * in.Height), Pose: pose, Timestamp: timestamp}
-		copy(img.Data, c.cacheData)
+	img := &DepthImage{Width: c.in.Width, Height: c.in.Height, Data: c.pixelBuffer(c.in.Pixels()), Pose: pose, Timestamp: timestamp}
+	noisy := c.Noise != nil && c.Noise.StdDevM > 0
+	if c.lastWorld != w || c.lastVersion != w.Version() || c.lastPose != pose {
+		if c.dist == nil {
+			// Allocated on first use: a camera whose topic nobody
+			// subscribes to never captures.
+			c.dist, c.pixels = make([]float64, c.rx*c.ry), make([]float64, c.in.Pixels())
+		}
+		c.cast(w, pose)
+		c.lastWorld, c.lastVersion, c.lastPose, c.pixelsValid = w, w.Version(), pose, false
+	} else if !noisy && c.pixelsValid {
+		copy(img.Data, c.pixels)
 		return img
 	}
-	if cap(c.grid) < rx*ry {
-		c.grid = make([]float64, rx*ry)
-	}
-	grid := c.grid[:rx*ry]
-	hf := in.HorizontalFOV
-	vf := in.VerticalFOV()
-	if cap(c.trig) < 2*rx {
-		c.trig = make([]float64, 2*rx)
-		c.trigValid = false
-	}
-	azCos, azSin := c.trig[:rx], c.trig[rx:2*rx]
-	if !c.trigValid || c.trigYaw != pose.Yaw || c.trigHF != hf || c.trigRx != rx {
-		for i := 0; i < rx; i++ {
-			az := hf * (float64(i)/float64(rx-1) - 0.5)
-			azCos[i] = math.Cos(pose.Yaw + az)
-			azSin[i] = math.Sin(pose.Yaw + az)
+	grid := c.dist
+	if noisy {
+		if c.noisy == nil {
+			c.noisy = make([]float64, len(c.dist))
 		}
-		c.trigYaw, c.trigHF, c.trigRx, c.trigValid = pose.Yaw, hf, rx, true
-	}
-	if c.pitchRy != ry || c.pitchVF != vf || len(c.pitchTrig) != 2*ry {
-		if cap(c.pitchTrig) < 2*ry {
-			c.pitchTrig = make([]float64, 2*ry)
+		grid = c.noisy
+		for k, d := range c.dist {
+			grid[k] = c.Noise.Perturb(d)
 		}
-		c.pitchTrig = c.pitchTrig[:2*ry]
-		for j := 0; j < ry; j++ {
-			pitch := vf * (float64(j)/float64(ry-1) - 0.5)
-			c.pitchTrig[2*j] = math.Cos(pitch)
-			c.pitchTrig[2*j+1] = math.Sin(pitch)
-		}
-		c.pitchVF, c.pitchRy = vf, ry
 	}
-	// Refresh the static-phase cache unless the view and static scene are
-	// exactly those of the previous capture. Each ray's value is
-	// min(staticDist, dynamicDist) either way — the same candidates through
-	// the same arithmetic — so reusing the static phase is bit-identical to
-	// re-casting it (see World.RayCast).
-	refreshStatics := !(c.staticWorld == w && c.staticVersion == w.StaticVersion() && c.staticView == vw)
-	if cap(c.staticGrid) < rx*ry {
-		c.staticGrid = make([]float64, rx*ry)
+	c.upsample(grid, img.Data)
+	if !noisy {
+		copy(c.pixels, img.Data)
+		c.pixelsValid = true
 	}
-	sg := c.staticGrid[:rx*ry]
+	return img
+}
+
+// cast fills c.dist with the distance of every ray from pose, +Inf where
+// nothing is hit within MaxRange.
+func (c *DepthCamera) cast(w *env.World, pose geom.Pose) {
+	rx, ry := c.rx, c.ry
+	hf := c.in.HorizontalFOV
+	for i := 0; i < rx; i++ {
+		az := hf * (float64(i)/float64(rx-1) - 0.5)
+		c.azCos[i] = math.Cos(pose.Yaw + az)
+		c.azSin[i] = math.Sin(pose.Yaw + az)
+	}
 	for j := 0; j < ry; j++ {
 		cosPitch, sinPitch := c.pitchTrig[2*j], c.pitchTrig[2*j+1]
 		for i := 0; i < rx; i++ {
 			dir := geom.Vec3{
-				X: azCos[i] * cosPitch,
-				Y: azSin[i] * cosPitch,
+				X: c.azCos[i] * cosPitch,
+				Y: c.azSin[i] * cosPitch,
 				Z: -sinPitch,
 			}
-			k := j*rx + i
-			d := dir.Unit()
-			if d.IsZero() {
-				grid[k] = math.Inf(1)
-				if refreshStatics {
-					sg[k] = math.Inf(1)
-				}
-				continue
+			dist := math.Inf(1)
+			if d := dir.Unit(); !d.IsZero() {
+				dist = w.Cast(pose.Position, d, c.in.MaxRange)
 			}
-			if refreshStatics {
-				sg[k] = w.CastStatic(pose.Position, d, in.MaxRange)
+			if dist > c.in.MaxRange {
+				dist = math.Inf(1)
 			}
-			dist := w.CastDynamic(pose.Position, d, in.MaxRange, sg[k])
-			if dist > in.MaxRange {
-				grid[k] = math.Inf(1)
-				continue
-			}
-			grid[k] = c.Noise.Perturb(dist)
+			c.dist[j*rx+i] = dist
 		}
 	}
-	c.staticWorld, c.staticVersion, c.staticView = w, w.StaticVersion(), vw
+}
 
-	if c.upW != in.Width || c.upH != in.Height || c.upRx != rx || c.upRy != ry {
-		c.uIdx, c.uFrac = append(c.uIdx[:0], make([]int32, in.Width)...), append(c.uFrac[:0], make([]float64, in.Width)...)
-		c.vIdx, c.vFrac = append(c.vIdx[:0], make([]int32, in.Height)...), append(c.vFrac[:0], make([]float64, in.Height)...)
-		for u := 0; u < in.Width; u++ {
-			gi := float64(u) / float64(in.Width-1) * float64(rx-1)
-			i0 := int(gi)
-			if i0 >= rx-1 {
-				i0 = rx - 2
-			}
-			c.uIdx[u], c.uFrac[u] = int32(i0), gi-float64(i0)
-		}
-		for v := 0; v < in.Height; v++ {
-			gj := float64(v) / float64(in.Height-1) * float64(ry-1)
-			j0 := int(gj)
-			if j0 >= ry-1 {
-				j0 = ry - 2
-			}
-			c.vIdx[v], c.vFrac[v] = int32(j0), gj-float64(j0)
-		}
-		c.upW, c.upH, c.upRx, c.upRy = in.Width, in.Height, rx, ry
-	}
-	img := &DepthImage{Width: in.Width, Height: in.Height, Data: c.pixelBuffer(in.Width * in.Height), Pose: pose, Timestamp: timestamp}
-	for v := 0; v < in.Height; v++ {
+// upsample fills the frame out with the bilinear upsampling of the ray grid.
+func (c *DepthCamera) upsample(grid, out []float64) {
+	rx, width := c.rx, c.in.Width
+	for v := 0; v < c.in.Height; v++ {
 		j0 := int(c.vIdx[v])
 		fj := c.vFrac[v]
-		for u := 0; u < in.Width; u++ {
+		for u := 0; u < width; u++ {
 			i0 := int(c.uIdx[u])
 			fi := c.uFrac[u]
 			d00 := grid[j0*rx+i0]
@@ -321,18 +301,9 @@ func (c *DepthCamera) Capture(w *env.World, pose geom.Pose, timestamp float64) *
 			} else {
 				d = d00*(1-fi)*(1-fj) + d01*fi*(1-fj) + d10*(1-fi)*fj + d11*fi*fj
 			}
-			img.Data[v*in.Width+u] = d
+			out[v*width+u] = d
 		}
 	}
-	if cacheable {
-		if cap(c.cacheData) < len(img.Data) {
-			c.cacheData = make([]float64, len(img.Data))
-		}
-		c.cacheData = c.cacheData[:len(img.Data)]
-		copy(c.cacheData, img.Data)
-		c.cacheWorld, c.cacheVersion, c.cacheView = w, w.Version(), vw
-	}
-	return img
 }
 
 // pixelBuffer returns a pixel buffer of length n, reusing a recycled frame's

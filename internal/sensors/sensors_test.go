@@ -28,12 +28,66 @@ func TestIntrinsicsValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("zero range should be invalid")
 	}
+	// A tall image at a wide horizontal FOV derives a vertical FOV of
+	// 1.5 × 100/36 ≈ 4.17 rad: its top and bottom rows would look behind
+	// the camera.
+	bad = CameraIntrinsics{Width: 36, Height: 100, HorizontalFOV: 1.5, MaxRange: 20}
+	if err := bad.Validate(); err == nil {
+		t.Errorf("vertical FOV %v >= pi should be invalid", bad.VerticalFOV())
+	}
+	bad = DefaultIntrinsics()
+	bad.HorizontalFOV = math.NaN()
+	if err := bad.Validate(); err == nil {
+		t.Error("NaN FOV should be invalid")
+	}
+	bad = DefaultIntrinsics()
+	bad.MaxRange = math.NaN()
+	if err := bad.Validate(); err == nil {
+		t.Error("NaN range should be invalid")
+	}
 	in := DefaultIntrinsics()
 	if in.Pixels() != 640*480 {
 		t.Errorf("Pixels = %d", in.Pixels())
 	}
 	if in.VerticalFOV() >= in.HorizontalFOV {
 		t.Error("vertical FOV should be smaller than horizontal for a wide image")
+	}
+}
+
+// rgbdCamera returns the default 640x480 camera upsampled from a 64x48 ray
+// grid.
+func rgbdCamera(t testing.TB) *DepthCamera {
+	t.Helper()
+	cam, err := NewDepthCamera(DefaultIntrinsics(), 64, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cam
+}
+
+func TestNewDepthCameraRejectsGeometry(t *testing.T) {
+	in := DefaultIntrinsics()
+	tiny := in
+	tiny.Width, tiny.Height = 1, 1
+	tall := CameraIntrinsics{Width: 36, Height: 100, HorizontalFOV: 1.5, MaxRange: 20}
+	for _, tc := range []struct {
+		name   string
+		in     CameraIntrinsics
+		rx, ry int
+	}{
+		{"one ray column", in, 1, 48},
+		{"one ray row", in, 64, 1},
+		{"no rays", in, 0, 0},
+		{"one-pixel image", tiny, 64, 48},
+		{"vertical FOV beyond pi", tall, 36, 100},
+	} {
+		if cam, err := NewDepthCamera(tc.in, tc.rx, tc.ry); err == nil {
+			t.Errorf("%s: NewDepthCamera(%dx%d px, %dx%d rays) = %p, want an error", tc.name, tc.in.Width, tc.in.Height, tc.rx, tc.ry, cam)
+		}
+	}
+	cam := rgbdCamera(t)
+	if cam.Intrinsics() != in {
+		t.Errorf("Intrinsics() = %+v, want %+v", cam.Intrinsics(), in)
 	}
 }
 
@@ -46,7 +100,7 @@ func wallWorld() *env.World {
 
 func TestDepthCameraSeesWall(t *testing.T) {
 	w := wallWorld()
-	cam := NewDepthCamera()
+	cam := rgbdCamera(t)
 	img := cam.Capture(w, geom.NewPose(geom.V3(0, 0, 5), 0), 1.0)
 
 	if img.Width != 640 || img.Height != 480 {
@@ -70,7 +124,7 @@ func TestDepthCameraSeesWall(t *testing.T) {
 
 func TestDepthCameraLookingAwaySeesNothing(t *testing.T) {
 	w := wallWorld()
-	cam := NewDepthCamera()
+	cam := rgbdCamera(t)
 	// Face away from the wall at high altitude so neither wall nor ground is
 	// within the 20 m range for the central rays.
 	img := cam.Capture(w, geom.NewPose(geom.V3(0, 0, 25), math.Pi), 0)
@@ -82,7 +136,7 @@ func TestDepthCameraLookingAwaySeesNothing(t *testing.T) {
 
 func TestDepthCameraSeesGround(t *testing.T) {
 	w := env.BoundedEmptyWorld(100, 50, 1)
-	cam := NewDepthCamera()
+	cam := rgbdCamera(t)
 	img := cam.Capture(w, geom.NewPose(geom.V3(0, 0, 5), 0), 0)
 	// Bottom rows look downward and should return the ground within range.
 	bottom := img.At(img.Width/2, img.Height-1)
@@ -96,13 +150,13 @@ func TestDepthCameraSeesGround(t *testing.T) {
 
 func TestDepthNoise(t *testing.T) {
 	w := wallWorld()
-	cam := NewDepthCamera()
+	cam := rgbdCamera(t)
 	cam.Noise = NewDepthNoise(1.0, 7)
 	img := cam.Capture(w, geom.NewPose(geom.V3(0, 0, 5), 0), 0)
 
 	// Compare against a clean capture: the center depths should differ for a
 	// meaningful fraction of pixels.
-	clean := NewDepthCamera().Capture(w, geom.NewPose(geom.V3(0, 0, 5), 0), 0)
+	clean := rgbdCamera(t).Capture(w, geom.NewPose(geom.V3(0, 0, 5), 0), 0)
 	diffs := 0
 	for i := range img.Data {
 		if math.IsInf(clean.Data[i], 1) {
@@ -118,60 +172,6 @@ func TestDepthNoise(t *testing.T) {
 	for _, d := range img.Data {
 		if !math.IsInf(d, 1) && d < 0.05-1e-12 {
 			t.Fatalf("noisy depth %v below floor", d)
-		}
-	}
-}
-
-// TestDepthCameraCachesFollowCameraChanges pins that neither capture cache
-// serves a frame rendered by another camera: after the intrinsics or the ray
-// grid change, a capture at the same pose equals a fresh camera's. Noise-free
-// cameras exercise the whole-frame cache; noisy ones bypass it and exercise
-// the static-phase cache.
-func TestDepthCameraCachesFollowCameraChanges(t *testing.T) {
-	w := wallWorld()
-	pose := geom.NewPose(geom.V3(0, 0, 5), 0.3)
-	camera := func(rx, ry int, maxRange, fov float64) func() *DepthCamera {
-		return func() *DepthCamera {
-			in := DefaultIntrinsics()
-			in.Width, in.Height, in.MaxRange, in.HorizontalFOV = 48, 36, maxRange, fov
-			return &DepthCamera{Intrinsics: in, RaysX: rx, RaysY: ry}
-		}
-	}
-	base := camera(48, 36, 20, math.Pi/2)
-	variants := map[string]func() *DepthCamera{
-		"ray grid":            camera(64, 48, 20, math.Pi/2),
-		"transposed ray grid": camera(36, 48, 20, math.Pi/2),
-		"max range":           camera(48, 36, 4, math.Pi/2),
-		"field of view":       camera(48, 36, 20, math.Pi/3),
-	}
-	for name, variant := range variants {
-		for i, order := range [][2]func() *DepthCamera{{base, variant}, {variant, base}} {
-			name := []string{"to ", "from "}[i] + name
-			for _, noisy := range []bool{false, true} {
-				cam := order[0]()
-				if noisy {
-					cam.Noise = NewDepthNoise(0.5, 3)
-				}
-				cam.Capture(w, pose, 0)
-				fresh := order[1]()
-				cam.Intrinsics, cam.RaysX, cam.RaysY = fresh.Intrinsics, fresh.RaysX, fresh.RaysY
-				if noisy {
-					cam.Noise, fresh.Noise = NewDepthNoise(0.5, 3), NewDepthNoise(0.5, 3)
-				}
-				got, want := cam.Capture(w, pose, 1), fresh.Capture(w, pose, 1)
-				if len(got.Data) != len(want.Data) {
-					t.Fatalf("%s (noisy=%v): %d pixels, want %d", name, noisy, len(got.Data), len(want.Data))
-				}
-				stale := 0
-				for p := range want.Data {
-					if got.Data[p] != want.Data[p] {
-						stale++
-					}
-				}
-				if stale > 0 {
-					t.Errorf("%s (noisy=%v): %d of %d pixels differ from a fresh camera", name, noisy, stale, len(want.Data))
-				}
-			}
 		}
 	}
 }

@@ -17,7 +17,6 @@ package sim
 
 import (
 	"fmt"
-	"time"
 
 	"mavbench/internal/des"
 	"mavbench/internal/telemetry"
@@ -46,25 +45,15 @@ func NewFleet(sims ...*Simulator) (*Fleet, error) {
 	return &Fleet{sims: sims}, nil
 }
 
-// quantum returns the lockstep advance interval: the smallest physics step of
-// any drone, so no vehicle ever integrates across a collision-check boundary.
-func (f *Fleet) quantum() time.Duration {
-	q := des.Seconds(f.sims[0].cfg.PhysicsStepS)
-	for _, s := range f.sims[1:] {
-		if step := des.Seconds(s.cfg.PhysicsStepS); step < q {
-			q = step
-		}
-	}
-	return q
-}
-
 // Run executes all drones until every mission is done (or timed out at its
 // horizon) and returns the per-drone QoF reports in vehicle-index order.
 func (f *Fleet) Run() ([]telemetry.Report, error) {
 	for _, s := range f.sims {
 		s.recorder.StartMission(s.Now())
 	}
-	quantum := f.quantum()
+	// Every drone shares the physics step, so the lockstep quantum is that
+	// step: no vehicle ever integrates across a collision-check boundary.
+	quantum := des.Seconds(PhysicsStepS)
 
 	for t := quantum; ; t += quantum {
 		anyRunning := false
@@ -124,7 +113,7 @@ func (f *Fleet) checkInterVehicleCollisions() {
 			if !stj.Airborne {
 				continue
 			}
-			minDist := si.cfg.VehicleParams.RadiusM + sj.cfg.VehicleParams.RadiusM
+			minDist := si.vehicle.Params.RadiusM + sj.vehicle.Params.RadiusM
 			if sti.Position.Sub(stj.Position).Norm() <= minDist {
 				for _, s := range []*Simulator{si, sj} {
 					s.collisions++

@@ -40,36 +40,37 @@ const (
 	TopicIMU        = "/sensors/imu"
 )
 
+// The fixed airframe and sensor rig. MAVBench's experiments vary the
+// companion computer, the kernels and the case-study knobs (Config); the
+// vehicle and its sensors stay the same in every run. The airframe is
+// physics.DefaultParams() and the flight controller actuation.DefaultConfig().
+const (
+	// PhysicsStepS is the integration step of the vehicle model, and the
+	// lockstep quantum of a Fleet.
+	PhysicsStepS float64 = 0.02
+	// Sensor publication rates.
+	DepthCameraRateHz float64 = 4
+	RGBCameraRateHz   float64 = 4
+	GPSRateHz         float64 = 10
+	IMURateHz         float64 = 50
+	// depthGridX × depthGridY is the depth camera's ray grid and its image
+	// size: the ray grid is the image (no upsampling in closed-loop runs;
+	// the perception stage decimates anyway).
+	depthGridX, depthGridY = 48, 36
+)
+
 // Config parameterises a closed-loop run.
 type Config struct {
 	Seed int64
 
-	// Platform is the companion computer operating point.
+	// Platform is the companion computer operating point (zero = TX2 at its
+	// reference point).
 	Platform compute.Platform
 	// Offload, when non-nil, routes selected kernels to the cloud.
 	Offload *compute.Offloader
-
-	// PhysicsStepS is the integration step of the vehicle model.
-	PhysicsStepS float64
-	// DepthCameraRateHz / RGBCameraRateHz / GPSRateHz / IMURateHz are the
-	// sensor publication rates.
-	DepthCameraRateHz float64
-	RGBCameraRateHz   float64
-	GPSRateHz         float64
-	IMURateHz         float64
-	// DepthRaysX/Y set the depth camera ray-cast grid (and image size) used
-	// in closed-loop runs.
-	DepthRaysX, DepthRaysY int
 	// DepthNoiseStd enables the reliability case study's Gaussian depth
 	// noise.
 	DepthNoiseStd float64
-
-	// VehicleParams configures the airframe; zero value uses defaults.
-	VehicleParams physics.Params
-	// Wind applies a constant/gusty wind field.
-	Wind physics.Wind
-	// FCConfig configures the flight controller; zero value uses defaults.
-	FCConfig actuation.Config
 
 	// VehicleIndex / VehicleCount identify this simulator's drone within its
 	// fleet (see Fleet); a zero count means a fleet of one. Workloads use
@@ -82,27 +83,15 @@ type Config struct {
 	MaxMissionTimeS float64
 	// KeepTraces enables power/phase time series in the telemetry report.
 	KeepTraces bool
-	// DisableCollisionAbort keeps flying through collisions (used by a few
-	// micro-benchmarks that deliberately graze obstacles).
-	DisableCollisionAbort bool
 }
 
 // DefaultConfig returns the standard closed-loop configuration at the paper's
 // reference operating point.
 func DefaultConfig(seed int64) Config {
 	return Config{
-		Seed:              seed,
-		Platform:          compute.DefaultTX2(),
-		PhysicsStepS:      0.02,
-		DepthCameraRateHz: 4,
-		RGBCameraRateHz:   4,
-		GPSRateHz:         10,
-		IMURateHz:         50,
-		DepthRaysX:        48,
-		DepthRaysY:        36,
-		VehicleParams:     physics.DefaultParams(),
-		FCConfig:          actuation.DefaultConfig(),
-		MaxMissionTimeS:   1800,
+		Seed:            seed,
+		Platform:        compute.DefaultTX2(),
+		MaxMissionTimeS: 1800,
 	}
 }
 
@@ -149,35 +138,8 @@ func New(cfg Config, world *env.World, start geom.Vec3) (*Simulator, error) {
 	if world == nil {
 		return nil, errors.New("sim: nil world")
 	}
-	if cfg.PhysicsStepS <= 0 {
-		cfg.PhysicsStepS = 0.02
-	}
 	if cfg.MaxMissionTimeS <= 0 {
 		cfg.MaxMissionTimeS = 1800
-	}
-	if cfg.DepthCameraRateHz <= 0 {
-		cfg.DepthCameraRateHz = 4
-	}
-	if cfg.RGBCameraRateHz <= 0 {
-		cfg.RGBCameraRateHz = 4
-	}
-	if cfg.GPSRateHz <= 0 {
-		cfg.GPSRateHz = 10
-	}
-	if cfg.IMURateHz <= 0 {
-		cfg.IMURateHz = 50
-	}
-	if cfg.DepthRaysX <= 1 {
-		cfg.DepthRaysX = 48
-	}
-	if cfg.DepthRaysY <= 1 {
-		cfg.DepthRaysY = 36
-	}
-	if cfg.VehicleParams.MassKg == 0 {
-		cfg.VehicleParams = physics.DefaultParams()
-	}
-	if err := cfg.VehicleParams.Validate(); err != nil {
-		return nil, err
 	}
 	if cfg.Platform.Cores == 0 {
 		cfg.Platform = compute.DefaultTX2()
@@ -185,36 +147,36 @@ func New(cfg Config, world *env.World, start geom.Vec3) (*Simulator, error) {
 	if err := cfg.Platform.Validate(); err != nil {
 		return nil, err
 	}
+	intrinsics := sensors.DefaultIntrinsics()
+	intrinsics.Width, intrinsics.Height = depthGridX, depthGridY
+	depthCam, err := sensors.NewDepthCamera(intrinsics, depthGridX, depthGridY)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.DepthNoiseStd > 0 {
+		depthCam.Noise = sensors.NewDepthNoise(cfg.DepthNoiseStd, cfg.Seed+303)
+	}
 
 	engine := des.NewEngine()
 	engine.Horizon = des.Seconds(cfg.MaxMissionTimeS)
 
+	airframe := physics.DefaultParams()
 	s := &Simulator{
 		cfg:      cfg,
 		engine:   engine,
 		graph:    ros.NewGraph(engine, cfg.Platform.Cores),
 		world:    world,
-		vehicle:  physics.NewQuadrotor(cfg.VehicleParams, start),
+		vehicle:  physics.NewQuadrotor(airframe, start),
 		cost:     compute.NewCostModel(cfg.Platform),
 		battery:  energy.NewMatrice100Battery(),
-		power:    energy.NewRotorPowerModel(cfg.VehicleParams.MassKg),
+		power:    energy.NewRotorPowerModel(airframe.MassKg),
 		recorder: telemetry.NewRecorder(cfg.KeepTraces),
+		depthCam: depthCam,
+		rgbCam:   sensors.NewRGBCamera(),
 		gps:      sensors.NewGPS(cfg.Seed + 101),
 		imu:      sensors.NewIMU(cfg.Seed + 202),
 	}
-	s.vehicle.Wind = cfg.Wind
-	s.fc = actuation.New(cfg.FCConfig, s.vehicle, world.GroundZ)
-
-	// Depth camera: the ray grid is the image (no upsampling in closed-loop
-	// runs; the perception stage decimates anyway).
-	intrinsics := sensors.DefaultIntrinsics()
-	intrinsics.Width = cfg.DepthRaysX
-	intrinsics.Height = cfg.DepthRaysY
-	s.depthCam = &sensors.DepthCamera{Intrinsics: intrinsics, RaysX: cfg.DepthRaysX, RaysY: cfg.DepthRaysY}
-	if cfg.DepthNoiseStd > 0 {
-		s.depthCam.Noise = sensors.NewDepthNoise(cfg.DepthNoiseStd, cfg.Seed+303)
-	}
-	s.rgbCam = sensors.NewRGBCamera()
+	s.fc = actuation.New(actuation.DefaultConfig(), s.vehicle, world.GroundZ)
 	s.depthTopic = s.graph.Topic(TopicDepthImage)
 	s.rgbTopic = s.graph.Topic(TopicRGBFrame)
 	s.gpsTopic = s.graph.Topic(TopicGPS)
@@ -285,9 +247,6 @@ func (s *Simulator) FlightController() *actuation.FlightController { return s.fc
 // DepthCamera returns the depth camera (e.g. to adjust noise mid-run).
 func (s *Simulator) DepthCamera() *sensors.DepthCamera { return s.depthCam }
 
-// Config returns the simulator configuration.
-func (s *Simulator) Config() Config { return s.cfg }
-
 // Now returns the current virtual time in seconds.
 func (s *Simulator) Now() float64 { return s.engine.NowSeconds() }
 
@@ -308,7 +267,7 @@ func (s *Simulator) VehicleCount() int {
 func (s *Simulator) TrueState() physics.State { return s.vehicle.State() }
 
 // VehicleRadius returns the airframe's collision radius.
-func (s *Simulator) VehicleRadius() float64 { return s.cfg.VehicleParams.RadiusM }
+func (s *Simulator) VehicleRadius() float64 { return s.vehicle.Params.RadiusM }
 
 // CommandsIssued returns the number of velocity commands sent to the FC.
 func (s *Simulator) CommandsIssued() uint64 { return s.commandsIssued }
@@ -361,16 +320,16 @@ func (s *Simulator) CompleteMission(success bool, reason string) {
 
 // scheduleLoops installs the physics and sensor event loops.
 func (s *Simulator) scheduleLoops() {
-	step := des.Seconds(s.cfg.PhysicsStepS)
+	step := des.Seconds(PhysicsStepS)
 	dt := step.Seconds()
 	// Physics (and energy) at high priority so same-instant sensor events see
 	// the updated world.
 	s.engine.EveryPriority(step, -10, "sim/physics", func(*des.Engine) { s.physicsStep(dt) })
 
-	s.engine.Every(des.Seconds(1/s.cfg.DepthCameraRateHz), "sim/depth", func(*des.Engine) { s.publishDepth() })
-	s.engine.Every(des.Seconds(1/s.cfg.RGBCameraRateHz), "sim/rgb", func(*des.Engine) { s.publishRGB() })
-	s.engine.Every(des.Seconds(1/s.cfg.GPSRateHz), "sim/gps", func(*des.Engine) { s.publishGPS() })
-	s.engine.Every(des.Seconds(1/s.cfg.IMURateHz), "sim/imu", func(*des.Engine) { s.publishIMU() })
+	s.engine.Every(des.Seconds(1/DepthCameraRateHz), "sim/depth", func(*des.Engine) { s.publishDepth() })
+	s.engine.Every(des.Seconds(1/RGBCameraRateHz), "sim/rgb", func(*des.Engine) { s.publishRGB() })
+	s.engine.Every(des.Seconds(1/GPSRateHz), "sim/gps", func(*des.Engine) { s.publishGPS() })
+	s.engine.Every(des.Seconds(1/IMURateHz), "sim/imu", func(*des.Engine) { s.publishIMU() })
 }
 
 func (s *Simulator) physicsStep(dt float64) {
@@ -402,11 +361,11 @@ func (s *Simulator) physicsStep(dt float64) {
 		s.CompleteMission(false, "battery depleted")
 		return
 	}
-	if !s.cfg.DisableCollisionAbort && state.Airborne {
+	if state.Airborne {
 		// Only obstacle strikes count as collisions; proximity to the ground
 		// during takeoff/landing and map-boundary excursions do not crash the
 		// vehicle.
-		if _, o := s.world.NearestObstacleWithin(state.Position, s.cfg.VehicleParams.RadiusM*0.75); o != nil {
+		if _, o := s.world.NearestObstacleWithin(state.Position, s.vehicle.Params.RadiusM*0.75); o != nil {
 			s.collisions++
 			s.recorder.Count("collisions", 1)
 			s.CompleteMission(false, "collision")
@@ -444,5 +403,5 @@ func (s *Simulator) publishIMU() {
 	if !s.sensing(s.imuTopic) {
 		return
 	}
-	s.imuTopic.Publish(s.imu.Sample(s.vehicle.State(), 1/s.cfg.IMURateHz, s.Now()))
+	s.imuTopic.Publish(s.imu.Sample(s.vehicle.State(), 1/IMURateHz, s.Now()))
 }

@@ -47,7 +47,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Config().PhysicsStepS <= 0 || s.Config().Platform.Cores == 0 {
+	if s.Engine().Horizon != des.Seconds(1800) || s.Graph().Executor().Cores() != compute.DefaultTX2().Cores {
 		t.Error("defaults not applied")
 	}
 }

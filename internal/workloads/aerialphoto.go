@@ -118,7 +118,7 @@ func (AerialPhotography) Setup(s *sim.Simulator, p core.Params) error {
 			// rate metric (error per unit time is dominated by pixel offset).
 			s.Recorder().Observe("framing_error_norm", (abs(errX)/centerU+abs(errY)/centerV)/2)
 
-			cmd := framing.Update(errX, errY, resRT.Box.Distance, 1/s.Config().RGBCameraRateHz, s.TrueState().Pose())
+			cmd := framing.Update(errX, errY, resRT.Box.Distance, 1/sim.RGBCameraRateHz, s.TrueState().Pose())
 			if s.FCMode().String() == "offboard" {
 				_ = s.IssueVelocity(cmd.Velocity, cmd.YawRate)
 			}

@@ -155,7 +155,7 @@ func setupExploration(s *sim.Simulator, p core.Params, cfg explorationConfig) er
 				MinGoalDistance:   3,
 				Floor:             s.World().Bounds.Min.Z + 1,
 				Ceiling:           s.World().Bounds.Max.Z - 1,
-				InformationRadius: s.DepthCamera().Intrinsics.MaxRange / 2,
+				InformationRadius: s.DepthCamera().Intrinsics().MaxRange / 2,
 				Region:            cfg.region,
 			})
 			cost := s.Cost().MustKernelTime(compute.KernelFrontierExplore)

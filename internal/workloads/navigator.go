@@ -82,7 +82,7 @@ func newNavigator(s *sim.Simulator, p core.Params) (*navigator, error) {
 		localizer:    loc,
 		planner:      planner,
 		tracker:      control.NewTracker(control.DefaultTrackerConfig()),
-		sensorPeriod: 1 / s.Config().DepthCameraRateHz,
+		sensorPeriod: 1 / sim.DepthCameraRateHz,
 		lastMinDepth: 1e9,
 	}
 	n.octo = octomap.New(n.currentRes, s.World().Bounds)
@@ -156,7 +156,7 @@ func (n *navigator) integrateDepth(img *sensors.DepthImage) ros.CallbackResult {
 		}
 	}
 
-	intr := n.s.DepthCamera().Intrinsics
+	intr := n.s.DepthCamera().Intrinsics()
 	cloud := pointcloud.FromDepthImage(img, intr, pointcloud.Options{Stride: 2, MaxRange: intr.MaxRange, MinRange: 0.3})
 	// The frame is fully consumed (MinDepth + back-projection above); hand
 	// its pixel buffer back to the camera for the next capture.
@@ -184,7 +184,7 @@ func scaledPoints(simPoints int) int {
 
 func (n *navigator) localize() ros.CallbackResult {
 	state := n.s.TrueState()
-	dt := 1 / n.s.Config().GPSRateHz
+	dt := 1 / sim.GPSRateHz
 	n.estimate = n.localizer.Localize(state.Pose(), state.Velocity, dt, n.s.Now())
 	if n.estimate.Error > 0 {
 		n.s.Recorder().Observe("localization_error_m", n.estimate.Error)
@@ -228,7 +228,7 @@ func (n *navigator) perceptionLatency() float64 {
 // free space.
 func (n *navigator) maxSafeVelocity() float64 {
 	params := n.s.Vehicle().Params
-	stoppingBudget := n.s.DepthCamera().Intrinsics.MaxRange * 0.35
+	stoppingBudget := n.s.DepthCamera().Intrinsics().MaxRange * 0.35
 	v := physics.MaxSafeVelocity(n.perceptionLatency(), stoppingBudget, params.MaxAcceleration)
 	if v > params.MaxHorizontalVelocity*0.8 {
 		v = params.MaxHorizontalVelocity * 0.8
