@@ -5,11 +5,11 @@
 // take off, fly this velocity, land — and lowers them into the stabilized
 // rotor commands the airframe executes. This reproduction keeps the FC as an
 // explicit state machine between the companion computer (package ros /
-// workloads) and the physics model (package physics): commands arrive as
-// MAVLink frames, are validated against the FC's mode logic, and become
-// velocity setpoints on the quadrotor model, while the FC publishes telemetry
-// back. The mission phases it walks through (arming, takeoff, flight,
-// landing) are also what the energy model's Figure 9b timeline reports.
+// workloads) and the physics model (package physics): each command is checked
+// against the FC's mode logic, and velocity commands become setpoints on the
+// quadrotor model. The mission phases it walks through (arming, takeoff,
+// flight, landing) are also what the energy model's Figure 9b timeline
+// reports.
 package actuation
 
 import (
@@ -17,7 +17,6 @@ import (
 
 	"mavbench/internal/energy"
 	"mavbench/internal/geom"
-	"mavbench/internal/mavlink"
 	"mavbench/internal/physics"
 )
 
@@ -75,57 +74,34 @@ func (m Mode) FlightPhase() energy.FlightPhase {
 	}
 }
 
-// Config tunes the flight controller.
-type Config struct {
-	TakeoffAltitude float64
-	TakeoffSpeed    float64
-	LandingSpeed    float64
-	// AltitudeTolerance decides when takeoff is complete.
-	AltitudeTolerance float64
-}
-
-// DefaultConfig returns the benchmark's FC configuration.
-func DefaultConfig() Config {
-	return Config{TakeoffAltitude: 5, TakeoffSpeed: 2, LandingSpeed: 1, AltitudeTolerance: 0.3}
-}
+// The benchmark's fixed FC tuning.
+const (
+	takeoffAltitude = 5.0 // m above the ground
+	takeoffSpeed    = 2.0 // m/s climb
+	landingSpeed    = 1.0 // m/s descent
+	// altitudeTolerance decides when takeoff is complete.
+	altitudeTolerance = 0.3
+)
 
 // FlightController converts high-level commands into quadrotor velocity
 // setpoints.
 type FlightController struct {
-	Config Config
-
 	vehicle *physics.Quadrotor
 	mode    Mode
 	groundZ float64
 
-	setpoint mavlink.VelocitySetpoint
-	seq      uint8
-
-	commandsReceived uint64
-	framesRejected   uint64
+	velocity geom.Vec3
+	yawRate  float64
 }
 
 // New creates a flight controller bound to a vehicle. groundZ is the landing
 // altitude.
-func New(cfg Config, vehicle *physics.Quadrotor, groundZ float64) *FlightController {
-	if cfg.TakeoffAltitude <= 0 {
-		cfg = DefaultConfig()
-	}
-	return &FlightController{Config: cfg, vehicle: vehicle, groundZ: groundZ}
+func New(vehicle *physics.Quadrotor, groundZ float64) *FlightController {
+	return &FlightController{vehicle: vehicle, groundZ: groundZ}
 }
 
 // Mode returns the current FC mode.
 func (fc *FlightController) Mode() Mode { return fc.mode }
-
-// CommandsReceived returns how many valid frames have been processed.
-func (fc *FlightController) CommandsReceived() uint64 { return fc.commandsReceived }
-
-// FramesRejected returns how many frames failed to parse or were invalid for
-// the current mode.
-func (fc *FlightController) FramesRejected() uint64 { return fc.framesRejected }
-
-// Vehicle returns the controlled quadrotor.
-func (fc *FlightController) Vehicle() *physics.Quadrotor { return fc.vehicle }
 
 // Arm switches the FC from disarmed to armed.
 func (fc *FlightController) Arm() error {
@@ -136,7 +112,7 @@ func (fc *FlightController) Arm() error {
 	return nil
 }
 
-// Takeoff begins the climb to the configured altitude.
+// Takeoff begins the climb to the takeoff altitude.
 func (fc *FlightController) Takeoff() error {
 	if fc.mode != ModeArmed {
 		return fmt.Errorf("actuation: cannot take off from %v", fc.mode)
@@ -155,51 +131,20 @@ func (fc *FlightController) Land() error {
 	return nil
 }
 
-// HandleFrame processes a MAVLink frame from the companion computer.
-func (fc *FlightController) HandleFrame(raw []byte) error {
-	frame, _, err := mavlink.Unmarshal(raw)
-	if err != nil {
-		fc.framesRejected++
-		return err
-	}
-	switch frame.MessageID {
-	case mavlink.MsgIDCommandArm:
-		err = fc.Arm()
-	case mavlink.MsgIDCommandTakeoff:
-		err = fc.Takeoff()
-	case mavlink.MsgIDCommandLand:
-		err = fc.Land()
-	case mavlink.MsgIDVelocitySetpoint:
-		var sp mavlink.VelocitySetpoint
-		sp, err = mavlink.DecodeVelocitySetpoint(frame)
-		if err == nil {
-			err = fc.SetVelocity(sp)
-		}
-	default:
-		err = fmt.Errorf("actuation: unsupported message %d", frame.MessageID)
-	}
-	if err != nil {
-		fc.framesRejected++
-		return err
-	}
-	fc.commandsReceived++
-	return nil
-}
-
 // SetVelocity installs an offboard velocity setpoint. The FC transitions to
-// offboard mode automatically once takeoff has completed.
-func (fc *FlightController) SetVelocity(sp mavlink.VelocitySetpoint) error {
-	switch fc.mode {
-	case ModeOffboard:
-		fc.setpoint = sp
-		return nil
-	case ModeTakeoff:
-		// Buffer the setpoint; it takes effect when takeoff completes.
-		fc.setpoint = sp
-		return nil
-	default:
+// offboard mode automatically once takeoff has completed; a setpoint given
+// during takeoff is buffered and takes effect then.
+//
+// The FC holds setpoints in single precision, as the MAVLink link between
+// companion computer and autopilot carries them; the golden traces pin that
+// rounding.
+func (fc *FlightController) SetVelocity(v geom.Vec3, yawRate float64) error {
+	if fc.mode != ModeOffboard && fc.mode != ModeTakeoff {
 		return fmt.Errorf("actuation: velocity setpoint rejected in %v", fc.mode)
 	}
+	fc.velocity = geom.V3(float64(float32(v.X)), float64(float32(v.Y)), float64(float32(v.Z)))
+	fc.yawRate = float64(float32(yawRate))
+	return nil
 }
 
 // Step advances the FC's mode logic and pushes the current command to the
@@ -208,35 +153,23 @@ func (fc *FlightController) Step(dt float64) {
 	state := fc.vehicle.State()
 	switch fc.mode {
 	case ModeTakeoff:
-		target := fc.groundZ + fc.Config.TakeoffAltitude
-		if state.Position.Z >= target-fc.Config.AltitudeTolerance {
+		target := fc.groundZ + takeoffAltitude
+		if state.Position.Z >= target-altitudeTolerance {
 			fc.mode = ModeOffboard
 			fc.vehicle.SetCommand(physics.Command{Hover: true})
 			return
 		}
-		fc.vehicle.SetCommand(physics.Command{Velocity: geom.V3(0, 0, fc.Config.TakeoffSpeed)})
+		fc.vehicle.SetCommand(physics.Command{Velocity: geom.V3(0, 0, takeoffSpeed)})
 	case ModeOffboard:
-		fc.vehicle.SetCommand(physics.Command{Velocity: fc.setpoint.Velocity, YawRate: fc.setpoint.YawRate})
+		fc.vehicle.SetCommand(physics.Command{Velocity: fc.velocity, YawRate: fc.yawRate})
 	case ModeLanding:
 		if state.Position.Z <= fc.groundZ+0.1 {
 			fc.vehicle.ForceLand(fc.groundZ)
 			fc.mode = ModeLanded
 			return
 		}
-		fc.vehicle.SetCommand(physics.Command{Velocity: geom.V3(0, 0, -fc.Config.LandingSpeed)})
+		fc.vehicle.SetCommand(physics.Command{Velocity: geom.V3(0, 0, -landingSpeed)})
 	default:
 		fc.vehicle.SetCommand(physics.Command{Hover: true})
 	}
-}
-
-// Telemetry returns the FC's local-position frame for publication back to the
-// companion computer.
-func (fc *FlightController) Telemetry() []byte {
-	s := fc.vehicle.State()
-	fc.seq++
-	return mavlink.EncodeLocalPosition(fc.seq, mavlink.LocalPosition{
-		Position: s.Position,
-		Velocity: s.Velocity,
-		Yaw:      s.Yaw,
-	}).Marshal()
 }

@@ -5,13 +5,12 @@ import (
 
 	"mavbench/internal/energy"
 	"mavbench/internal/geom"
-	"mavbench/internal/mavlink"
 	"mavbench/internal/physics"
 )
 
 func newFC() *FlightController {
 	q := physics.NewQuadrotor(physics.DefaultParams(), geom.V3(0, 0, 0))
-	return New(DefaultConfig(), q, 0)
+	return New(q, 0)
 }
 
 func TestModeStringsAndPhases(t *testing.T) {
@@ -52,13 +51,13 @@ func TestArmTakeoffSequence(t *testing.T) {
 	// Step until takeoff completes.
 	for i := 0; i < 2000 && fc.Mode() == ModeTakeoff; i++ {
 		fc.Step(0.02)
-		fc.Vehicle().Step(0.02)
+		fc.vehicle.Step(0.02)
 	}
 	if fc.Mode() != ModeOffboard {
 		t.Fatalf("mode after takeoff = %v", fc.Mode())
 	}
-	alt := fc.Vehicle().State().Position.Z
-	if alt < fc.Config.TakeoffAltitude-1 {
+	alt := fc.vehicle.State().Position.Z
+	if alt < takeoffAltitude-1 {
 		t.Errorf("altitude after takeoff = %v", alt)
 	}
 }
@@ -73,18 +72,18 @@ func TestOffboardVelocityAndLanding(t *testing.T) {
 	}
 	for i := 0; i < 2000 && fc.Mode() == ModeTakeoff; i++ {
 		fc.Step(0.02)
-		fc.Vehicle().Step(0.02)
+		fc.vehicle.Step(0.02)
 	}
 
-	if err := fc.SetVelocity(mavlink.VelocitySetpoint{Velocity: geom.V3(3, 0, 0)}); err != nil {
+	if err := fc.SetVelocity(geom.V3(3, 0, 0), 0); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
 		fc.Step(0.02)
-		fc.Vehicle().Step(0.02)
+		fc.vehicle.Step(0.02)
 	}
-	if fc.Vehicle().State().Position.X <= 1 {
-		t.Errorf("vehicle did not move forward: %v", fc.Vehicle().State().Position)
+	if fc.vehicle.State().Position.X <= 1 {
+		t.Errorf("vehicle did not move forward: %v", fc.vehicle.State().Position)
 	}
 
 	if err := fc.Land(); err != nil {
@@ -92,82 +91,22 @@ func TestOffboardVelocityAndLanding(t *testing.T) {
 	}
 	for i := 0; i < 5000 && fc.Mode() != ModeLanded; i++ {
 		fc.Step(0.02)
-		fc.Vehicle().Step(0.02)
+		fc.vehicle.Step(0.02)
 	}
 	if fc.Mode() != ModeLanded {
-		t.Fatalf("landing never completed, mode=%v alt=%v", fc.Mode(), fc.Vehicle().State().Position.Z)
+		t.Fatalf("landing never completed, mode=%v alt=%v", fc.Mode(), fc.vehicle.State().Position.Z)
 	}
-	if fc.Vehicle().State().Airborne {
+	if fc.vehicle.State().Airborne {
 		t.Error("vehicle still airborne after landing")
 	}
 }
 
 func TestVelocityRejectedWhenNotFlying(t *testing.T) {
 	fc := newFC()
-	if err := fc.SetVelocity(mavlink.VelocitySetpoint{Velocity: geom.V3(1, 0, 0)}); err == nil {
+	if err := fc.SetVelocity(geom.V3(1, 0, 0), 0); err == nil {
 		t.Error("velocity setpoint should be rejected while disarmed")
 	}
 	if err := fc.Land(); err == nil {
 		t.Error("landing while disarmed should fail")
-	}
-}
-
-func TestHandleFrame(t *testing.T) {
-	fc := newFC()
-	arm := mavlink.EncodeCommand(1, mavlink.MsgIDCommandArm, 0).Marshal()
-	if err := fc.HandleFrame(arm); err != nil {
-		t.Fatal(err)
-	}
-	takeoff := mavlink.EncodeCommand(2, mavlink.MsgIDCommandTakeoff, 5).Marshal()
-	if err := fc.HandleFrame(takeoff); err != nil {
-		t.Fatal(err)
-	}
-	vel := mavlink.EncodeVelocitySetpoint(3, mavlink.VelocitySetpoint{Velocity: geom.V3(2, 0, 0)}).Marshal()
-	if err := fc.HandleFrame(vel); err != nil {
-		t.Fatal(err)
-	}
-	if fc.CommandsReceived() != 3 {
-		t.Errorf("CommandsReceived = %d", fc.CommandsReceived())
-	}
-
-	// Garbage frame.
-	if err := fc.HandleFrame([]byte{1, 2, 3}); err == nil {
-		t.Error("garbage frame should fail")
-	}
-	// Valid frame, unsupported message.
-	unknown := mavlink.Frame{MessageID: 200, Payload: []byte{1}}.Marshal()
-	if err := fc.HandleFrame(unknown); err == nil {
-		t.Error("unsupported message should fail")
-	}
-	// Valid frame, invalid for the mode (arm twice).
-	if err := fc.HandleFrame(arm); err == nil {
-		t.Error("double arm via frame should fail")
-	}
-	if fc.FramesRejected() != 3 {
-		t.Errorf("FramesRejected = %d", fc.FramesRejected())
-	}
-}
-
-func TestTelemetryRoundTrip(t *testing.T) {
-	fc := newFC()
-	raw := fc.Telemetry()
-	frame, _, err := mavlink.Unmarshal(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lp, err := mavlink.DecodeLocalPosition(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lp.Position != fc.Vehicle().State().Position {
-		t.Errorf("telemetry position %v != state %v", lp.Position, fc.Vehicle().State().Position)
-	}
-}
-
-func TestZeroConfigDefaults(t *testing.T) {
-	q := physics.NewQuadrotor(physics.DefaultParams(), geom.V3(0, 0, 0))
-	fc := New(Config{}, q, 0)
-	if fc.Config.TakeoffAltitude <= 0 {
-		t.Error("zero config should get defaults")
 	}
 }

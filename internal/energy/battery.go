@@ -1,9 +1,6 @@
 package energy
 
-import (
-	"errors"
-	"math"
-)
+import "math"
 
 // Battery implements the paper's coulomb-counting battery model: every update
 // converts the instantaneous power draw into a current using the terminal
@@ -20,7 +17,6 @@ type Battery struct {
 	CellEmptyVoltage float64 // V at 0 % SoC
 
 	drawnCoulombs float64
-	energyJoules  float64
 }
 
 // NewMatrice100Battery returns the paper's DJI Matrice 100 TB47D-class pack:
@@ -34,30 +30,6 @@ func NewMatrice100Battery() *Battery {
 	}
 }
 
-// NewBattery builds a pack from a capacity in mAh and a cell count.
-func NewBattery(capacityMAh float64, cells int) *Battery {
-	return &Battery{
-		CapacityCoulombs: capacityMAh / 1000 * 3600,
-		CellCount:        cells,
-		CellFullVoltage:  4.2,
-		CellEmptyVoltage: 3.3,
-	}
-}
-
-// Validate reports whether the battery parameters are usable.
-func (b *Battery) Validate() error {
-	if b.CapacityCoulombs <= 0 {
-		return errors.New("energy: non-positive battery capacity")
-	}
-	if b.CellCount <= 0 {
-		return errors.New("energy: non-positive cell count")
-	}
-	if b.CellFullVoltage <= b.CellEmptyVoltage {
-		return errors.New("energy: full-cell voltage must exceed empty-cell voltage")
-	}
-	return nil
-}
-
 // StateOfCharge returns the remaining charge fraction in [0, 1].
 func (b *Battery) StateOfCharge() float64 {
 	soc := 1 - b.drawnCoulombs/b.CapacityCoulombs
@@ -69,9 +41,6 @@ func (b *Battery) StateOfCharge() float64 {
 	}
 	return soc
 }
-
-// RemainingPercent returns the state of charge as a percentage.
-func (b *Battery) RemainingPercent() float64 { return b.StateOfCharge() * 100 }
 
 // Depleted reports whether the pack has been fully drained.
 func (b *Battery) Depleted() bool { return b.StateOfCharge() <= 0 }
@@ -106,38 +75,5 @@ func (b *Battery) Drain(powerW, dt float64) float64 {
 	}
 	current := powerW / v
 	b.drawnCoulombs += current * dt
-	b.energyJoules += powerW * dt
 	return current
-}
-
-// EnergyConsumed returns the total energy drawn in joules.
-func (b *Battery) EnergyConsumed() float64 { return b.energyJoules }
-
-// EnergyConsumedKJ returns the total energy drawn in kilojoules, the unit the
-// paper's heat maps use.
-func (b *Battery) EnergyConsumedKJ() float64 { return b.energyJoules / 1000 }
-
-// CoulombsDrawn returns the integrated charge drawn from the pack.
-func (b *Battery) CoulombsDrawn() float64 { return b.drawnCoulombs }
-
-// TotalEnergyJ returns the pack's total usable energy estimated at nominal
-// voltage, used to derive endurance estimates.
-func (b *Battery) TotalEnergyJ() float64 {
-	nominalCell := (b.CellFullVoltage + b.CellEmptyVoltage) / 2
-	return b.CapacityCoulombs * nominalCell * float64(b.CellCount)
-}
-
-// EnduranceEstimate returns how long (seconds) the pack would last under a
-// constant power draw, ignoring voltage sag.
-func (b *Battery) EnduranceEstimate(powerW float64) float64 {
-	if powerW <= 0 {
-		return math.Inf(1)
-	}
-	return b.TotalEnergyJ() / powerW
-}
-
-// Reset restores the pack to full charge.
-func (b *Battery) Reset() {
-	b.drawnCoulombs = 0
-	b.energyJoules = 0
 }

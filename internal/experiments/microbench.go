@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 
+	"mavbench/internal/actuation"
 	"mavbench/internal/des"
 	"mavbench/internal/energy"
 	"mavbench/internal/env"
@@ -180,7 +181,7 @@ func scriptedMissionPower(cruise float64) []Fig9bRow {
 	s.Engine().Every(des.Seconds(0.2), "fig9b/script", func(*des.Engine) {
 		now := s.Now()
 		switch {
-		case s.FCMode().String() != "offboard":
+		case s.FCMode() != actuation.ModeOffboard:
 			// waiting for takeoff or already landing
 		case now < 20:
 			_ = s.Hover()
@@ -191,7 +192,7 @@ func scriptedMissionPower(cruise float64) []Fig9bRow {
 		}
 	})
 	s.Engine().Every(des.Seconds(0.5), "fig9b/finish", func(*des.Engine) {
-		if s.FCMode().String() == "landed" {
+		if s.FCMode() == actuation.ModeLanded {
 			s.CompleteMission(true, "")
 		}
 	})

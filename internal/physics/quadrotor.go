@@ -2,17 +2,14 @@
 //
 // AirSim integrates a full quadrotor model at 1 kHz; MAVBench's evaluation,
 // however, only relies on the kinematic envelope of the vehicle — how fast it
-// can fly, how hard it can accelerate and brake, how long it takes to stop
-// (Equation 2 of the paper), and how much it drifts while hovering. This
-// package therefore implements a velocity-command point-mass model with
-// acceleration and velocity limits, drag, and wind, which is the same
-// abstraction level AirSim's "simple flight" velocity API exposes to the
-// companion computer.
+// can fly, how hard it can accelerate and brake, and how long it takes to
+// stop (Equation 2 of the paper). This package therefore implements a
+// velocity-command point-mass model with acceleration and velocity limits and
+// drag in still air, which is the same abstraction level AirSim's "simple
+// flight" velocity API exposes to the companion computer.
 package physics
 
 import (
-	"errors"
-	"fmt"
 	"math"
 
 	"mavbench/internal/geom"
@@ -51,23 +48,6 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate reports whether the parameters are physically meaningful.
-func (p Params) Validate() error {
-	if p.MassKg <= 0 {
-		return fmt.Errorf("physics: non-positive mass %v", p.MassKg)
-	}
-	if p.MaxHorizontalVelocity <= 0 || p.MaxVerticalVelocity <= 0 {
-		return errors.New("physics: non-positive velocity limits")
-	}
-	if p.MaxAcceleration <= 0 {
-		return errors.New("physics: non-positive acceleration limit")
-	}
-	if p.RadiusM <= 0 {
-		return errors.New("physics: non-positive radius")
-	}
-	return nil
-}
-
 // State is the vehicle's kinematic state.
 type State struct {
 	Position     geom.Vec3
@@ -83,40 +63,14 @@ func (s State) Pose() geom.Pose { return geom.NewPose(s.Position, s.Yaw) }
 // Speed returns the magnitude of the velocity.
 func (s State) Speed() float64 { return s.Velocity.Norm() }
 
-// Wind is a constant horizontal wind field (m/s) with optional gusts.
-type Wind struct {
-	Mean geom.Vec3
-	// GustAmplitude adds a sinusoidal gust along the mean direction.
-	GustAmplitude float64
-	GustPeriodS   float64
-}
-
-// At returns the wind vector at time t seconds.
-func (w Wind) At(t float64) geom.Vec3 {
-	if w.GustAmplitude == 0 || w.GustPeriodS <= 0 {
-		return w.Mean
-	}
-	dir := w.Mean.Unit()
-	if dir.IsZero() {
-		dir = geom.V3(1, 0, 0)
-	}
-	gust := w.GustAmplitude * math.Sin(2*math.Pi*t/w.GustPeriodS)
-	return w.Mean.Add(dir.Scale(gust))
-}
-
 // Quadrotor is the point-mass vehicle model. It consumes velocity commands
 // (the interface the flight controller exposes to the companion computer) and
-// integrates the state with acceleration limits, drag and wind.
+// integrates the state with acceleration limits and drag.
 type Quadrotor struct {
 	Params Params
-	Wind   Wind
 
 	state   State
 	command Command
-	elapsed float64
-
-	// distanceTravelled accumulates path length for QoF reporting.
-	distanceTravelled float64
 }
 
 // Command is a velocity-and-yaw setpoint, the unit of actuation in MAVBench's
@@ -138,12 +92,6 @@ func NewQuadrotor(params Params, start geom.Vec3) *Quadrotor {
 
 // State returns a copy of the current state.
 func (q *Quadrotor) State() State { return q.state }
-
-// Elapsed returns the integrated flight time in seconds.
-func (q *Quadrotor) Elapsed() float64 { return q.elapsed }
-
-// DistanceTravelled returns the accumulated path length in meters.
-func (q *Quadrotor) DistanceTravelled() float64 { return q.distanceTravelled }
 
 // SetCommand installs the current velocity setpoint. Commands persist until
 // replaced, exactly like AirSim's moveByVelocity API.
@@ -170,7 +118,6 @@ func (q *Quadrotor) Step(dt float64) State {
 	if dt <= 0 {
 		return q.state
 	}
-	q.elapsed += dt
 
 	target := q.command.Velocity
 	if q.command.Hover || !q.state.Airborne {
@@ -184,32 +131,23 @@ func (q *Quadrotor) Step(dt float64) State {
 	desiredAccel := target.Sub(q.state.Velocity).Scale(1 / dt)
 	accel := desiredAccel.ClampNorm(q.Params.MaxAcceleration)
 
-	// Drag opposes the velocity error relative to the wind when coasting.
-	wind := q.Wind.At(q.elapsed)
+	// Drag opposes the velocity when coasting.
 	if target.IsZero() && q.state.Airborne {
-		rel := q.state.Velocity.Sub(wind)
-		accel = accel.Add(rel.Scale(-q.Params.DragCoefficient))
+		accel = accel.Add(q.state.Velocity.Scale(-q.Params.DragCoefficient))
 		accel = accel.ClampNorm(q.Params.MaxAcceleration)
 	}
 
-	prevPos := q.state.Position
 	q.state.Acceleration = accel
 	q.state.Velocity = q.state.Velocity.Add(accel.Scale(dt))
 	q.state.Velocity = clampVelocity(q.state.Velocity, q.Params)
-	// Wind displaces the vehicle directly (a simple but adequate disturbance
-	// model for hover-drift studies).
-	drift := wind.Scale(0.05 * dt)
 	if !q.state.Airborne {
-		drift = geom.Vec3{}
 		q.state.Velocity = geom.Vec3{}
 	}
-	q.state.Position = q.state.Position.Add(q.state.Velocity.Scale(dt)).Add(drift)
+	q.state.Position = q.state.Position.Add(q.state.Velocity.Scale(dt))
 
 	// Yaw dynamics.
 	yawRate := geom.Clamp(q.command.YawRate, -q.Params.MaxYawRate, q.Params.MaxYawRate)
 	q.state.Yaw = geom.WrapAngle(q.state.Yaw + yawRate*dt)
-
-	q.distanceTravelled += prevPos.Dist(q.state.Position)
 	return q.state
 }
 
@@ -228,15 +166,6 @@ func (q *Quadrotor) IsHovering(speedThreshold float64) bool {
 	return q.state.Airborne && q.state.Speed() < speedThreshold
 }
 
-// StoppingDistance returns the distance needed to brake to a stop from speed
-// v with the airframe's maximum deceleration.
-func StoppingDistance(v, maxAccel float64) float64 {
-	if maxAccel <= 0 {
-		return math.Inf(1)
-	}
-	return v * v / (2 * maxAccel)
-}
-
 // MaxSafeVelocity implements the paper's Equation 2: the highest velocity at
 // which the vehicle can still guarantee a collision-free stop given the
 // perception-to-actuation latency processTime (seconds), the available
@@ -252,23 +181,4 @@ func MaxSafeVelocity(processTime, d, amax float64) float64 {
 		processTime = 0
 	}
 	return amax * (math.Sqrt(processTime*processTime+2*d/amax) - processTime)
-}
-
-// ProcessTimeForVelocity inverts Equation 2: the largest perception-to-
-// actuation latency that still permits flying at velocity v with stopping
-// distance d and deceleration amax. Returns 0 when even zero latency cannot
-// support v.
-func ProcessTimeForVelocity(v, d, amax float64) float64 {
-	if v <= 0 {
-		return math.Inf(1)
-	}
-	if amax <= 0 || d <= 0 {
-		return 0
-	}
-	// From v = a(sqrt(t^2+2d/a) - t):  t = d/v - v/(2a)
-	t := d/v - v/(2*amax)
-	if t < 0 {
-		return 0
-	}
-	return t
 }

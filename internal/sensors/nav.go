@@ -140,23 +140,3 @@ func (g *GPS) Sample(w *env.World, truth geom.Vec3, timestamp float64) GPSFix {
 	}
 	return fix
 }
-
-// Barometer produces altitude readings with slow drift; used by the flight
-// controller's altitude hold.
-type Barometer struct {
-	NoiseStd float64
-	DriftStd float64
-	drift    float64
-	rng      *rand.Rand
-}
-
-// NewBarometer returns a barometric altimeter model.
-func NewBarometer(seed int64) *Barometer {
-	return &Barometer{NoiseStd: 0.1, DriftStd: 0.002, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Sample returns a noisy altitude measurement.
-func (b *Barometer) Sample(trueAltitude float64) float64 {
-	b.drift += b.rng.NormFloat64() * b.DriftStd
-	return trueAltitude + b.drift + b.rng.NormFloat64()*b.NoiseStd
-}

@@ -328,18 +328,6 @@ func TestGPSNominalAndDegraded(t *testing.T) {
 	}
 }
 
-func TestBarometer(t *testing.T) {
-	b := NewBarometer(9)
-	sum := 0.0
-	for i := 0; i < 100; i++ {
-		sum += b.Sample(10)
-	}
-	mean := sum / 100
-	if math.Abs(mean-10) > 1 {
-		t.Errorf("mean barometer altitude = %v, want ~10", mean)
-	}
-}
-
 func TestDepthImageMinDepthEmpty(t *testing.T) {
 	img := &DepthImage{Width: 2, Height: 1, Data: []float64{math.Inf(1), math.Inf(1)}}
 	if _, ok := img.MinDepth(); ok {

@@ -116,7 +116,6 @@ func (f *Fleet) checkInterVehicleCollisions() {
 			minDist := si.vehicle.Params.RadiusM + sj.vehicle.Params.RadiusM
 			if sti.Position.Sub(stj.Position).Norm() <= minDist {
 				for _, s := range []*Simulator{si, sj} {
-					s.collisions++
 					s.recorder.Count("inter_vehicle_collisions", 1)
 					s.CompleteMission(false, "inter-vehicle collision")
 				}

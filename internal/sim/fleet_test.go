@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"mavbench/internal/actuation"
 	"mavbench/internal/des"
 	"mavbench/internal/env"
 	"mavbench/internal/geom"
@@ -30,11 +31,11 @@ func driveStraight(s *Simulator, vel geom.Vec3, tMax float64) {
 	_ = s.Takeoff()
 	s.Engine().Every(des.Seconds(0.1), "test/driver", func(e *des.Engine) {
 		switch {
-		case s.Now() > tMax && s.FCMode().String() == "offboard":
+		case s.Now() > tMax && s.FCMode() == actuation.ModeOffboard:
 			_ = s.Land()
-		case s.FCMode().String() == "offboard":
+		case s.FCMode() == actuation.ModeOffboard:
 			_ = s.IssueVelocity(vel, 0)
-		case s.FCMode().String() == "landed":
+		case s.FCMode() == actuation.ModeLanded:
 			s.CompleteMission(true, "")
 		}
 	})
@@ -124,7 +125,7 @@ func TestFleetTimeout(t *testing.T) {
 	_ = b.Arm()
 	_ = b.Takeoff()
 	b.Engine().Every(des.Seconds(0.1), "test/hover", func(e *des.Engine) {
-		if b.FCMode().String() == "offboard" {
+		if b.FCMode() == actuation.ModeOffboard {
 			_ = b.Hover()
 		}
 	})

@@ -7,7 +7,7 @@
 // Boroujerdian et al., MICRO 2018, Section III): the simulated
 // sensors observe the environment and publish onto topics; the workload's
 // nodes (perception, planning, control) consume them on the core-limited
-// executor, charging virtual compute time; the control stage issues MAVLink
+// executor, charging virtual compute time; the control stage issues
 // velocity commands to the flight controller; the flight controller drives
 // the quadrotor model, which moves through the environment — closing the
 // loop. The energy model integrates rotor plus compute power into the battery
@@ -25,7 +25,6 @@ import (
 	"mavbench/internal/energy"
 	"mavbench/internal/env"
 	"mavbench/internal/geom"
-	"mavbench/internal/mavlink"
 	"mavbench/internal/physics"
 	"mavbench/internal/ros"
 	"mavbench/internal/sensors"
@@ -43,7 +42,7 @@ const (
 // The fixed airframe and sensor rig. MAVBench's experiments vary the
 // companion computer, the kernels and the case-study knobs (Config); the
 // vehicle and its sensors stay the same in every run. The airframe is
-// physics.DefaultParams() and the flight controller actuation.DefaultConfig().
+// physics.DefaultParams(), and the flight controller has one fixed tuning.
 const (
 	// PhysicsStepS is the integration step of the vehicle model, and the
 	// lockstep quantum of a Fleet.
@@ -122,10 +121,7 @@ type Simulator struct {
 
 	depthTopic, rgbTopic, gpsTopic, imuTopic *ros.Topic
 
-	seq            uint8
-	commandsIssued uint64
-	missionDone    bool
-	collisions     uint64
+	missionDone bool
 
 	// teardown callbacks registered by workloads, run by Teardown once the
 	// simulation is over and its report has been extracted (resource release:
@@ -176,7 +172,7 @@ func New(cfg Config, world *env.World, start geom.Vec3) (*Simulator, error) {
 		gps:      sensors.NewGPS(cfg.Seed + 101),
 		imu:      sensors.NewIMU(cfg.Seed + 202),
 	}
-	s.fc = actuation.New(actuation.DefaultConfig(), s.vehicle, world.GroundZ)
+	s.fc = actuation.New(s.vehicle, world.GroundZ)
 	s.depthTopic = s.graph.Topic(TopicDepthImage)
 	s.rgbTopic = s.graph.Topic(TopicRGBFrame)
 	s.gpsTopic = s.graph.Topic(TopicGPS)
@@ -220,9 +216,6 @@ func (s *Simulator) World() *env.World { return s.world }
 // Cost returns the compute cost model of the edge platform.
 func (s *Simulator) Cost() *compute.CostModel { return s.cost }
 
-// Offloader returns the cloud offloader (may be nil).
-func (s *Simulator) Offloader() *compute.Offloader { return s.cfg.Offload }
-
 // KernelTime prices a kernel, routing it through the offloader when one is
 // configured. Payload sizes are used for the network cost of offloaded calls.
 func (s *Simulator) KernelTime(kernel string, edgeCost time.Duration, requestBytes, responseBytes int) time.Duration {
@@ -235,14 +228,8 @@ func (s *Simulator) KernelTime(kernel string, edgeCost time.Duration, requestByt
 // Recorder returns the telemetry recorder.
 func (s *Simulator) Recorder() *telemetry.Recorder { return s.recorder }
 
-// Battery returns the battery model.
-func (s *Simulator) Battery() *energy.Battery { return s.battery }
-
 // Vehicle returns the quadrotor model (ground truth).
 func (s *Simulator) Vehicle() *physics.Quadrotor { return s.vehicle }
-
-// FlightController returns the FC.
-func (s *Simulator) FlightController() *actuation.FlightController { return s.fc }
 
 // DepthCamera returns the depth camera (e.g. to adjust noise mid-run).
 func (s *Simulator) DepthCamera() *sensors.DepthCamera { return s.depthCam }
@@ -269,36 +256,22 @@ func (s *Simulator) TrueState() physics.State { return s.vehicle.State() }
 // VehicleRadius returns the airframe's collision radius.
 func (s *Simulator) VehicleRadius() float64 { return s.vehicle.Params.RadiusM }
 
-// CommandsIssued returns the number of velocity commands sent to the FC.
-func (s *Simulator) CommandsIssued() uint64 { return s.commandsIssued }
-
-// Collisions returns how many collisions were detected.
-func (s *Simulator) Collisions() uint64 { return s.collisions }
-
 // MissionDone reports whether the mission has been completed (or aborted).
 func (s *Simulator) MissionDone() bool { return s.missionDone }
 
-// Arm sends the arm command to the flight controller.
-func (s *Simulator) Arm() error { return s.sendCommand(mavlink.MsgIDCommandArm, 0) }
+// Arm arms the flight controller.
+func (s *Simulator) Arm() error { return s.fc.Arm() }
 
-// Takeoff sends the takeoff command to the flight controller.
-func (s *Simulator) Takeoff() error { return s.sendCommand(mavlink.MsgIDCommandTakeoff, 0) }
+// Takeoff starts the flight controller's climb to its takeoff altitude.
+func (s *Simulator) Takeoff() error { return s.fc.Takeoff() }
 
-// Land sends the land command to the flight controller.
-func (s *Simulator) Land() error { return s.sendCommand(mavlink.MsgIDCommandLand, 0) }
+// Land starts the flight controller's descent.
+func (s *Simulator) Land() error { return s.fc.Land() }
 
-func (s *Simulator) sendCommand(msgID uint8, param float64) error {
-	s.seq++
-	return s.fc.HandleFrame(mavlink.EncodeCommand(s.seq, msgID, param).Marshal())
-}
-
-// IssueVelocity sends a velocity setpoint to the flight controller over the
-// MAVLink link — the "command issue" at the end of the control stage.
+// IssueVelocity gives the flight controller a velocity setpoint — the
+// "command issue" at the end of the control stage.
 func (s *Simulator) IssueVelocity(vel geom.Vec3, yawRate float64) error {
-	s.seq++
-	s.commandsIssued++
-	frame := mavlink.EncodeVelocitySetpoint(s.seq, mavlink.VelocitySetpoint{Velocity: vel, YawRate: yawRate})
-	return s.fc.HandleFrame(frame.Marshal())
+	return s.fc.SetVelocity(vel, yawRate)
 }
 
 // Hover commands a zero-velocity hold.
@@ -340,10 +313,10 @@ func (s *Simulator) physicsStep(dt float64) {
 	state := s.vehicle.Step(dt)
 	s.world.Step(dt)
 
-	// Energy integration: rotors + compute.
+	// Energy integration: rotors (in still air) + compute.
 	rotorW := 0.0
 	if state.Airborne {
-		rotorW = s.power.Power(state.Velocity, state.Acceleration, s.vehicle.Wind.At(s.Now()))
+		rotorW = s.power.Power(state.Velocity, state.Acceleration, geom.Vec3{})
 	}
 	util := 0.0
 	if s.graph.Executor().Cores() > 0 {
@@ -366,7 +339,6 @@ func (s *Simulator) physicsStep(dt float64) {
 		// during takeoff/landing and map-boundary excursions do not crash the
 		// vehicle.
 		if _, o := s.world.NearestObstacleWithin(state.Position, s.vehicle.Params.RadiusM*0.75); o != nil {
-			s.collisions++
 			s.recorder.Count("collisions", 1)
 			s.CompleteMission(false, "collision")
 			return

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"time"
 
+	"mavbench/internal/actuation"
 	"mavbench/internal/compute"
 	"mavbench/internal/des"
 	"mavbench/internal/env"
@@ -66,14 +68,14 @@ func TestTakeoffFlyLandClosedLoop(t *testing.T) {
 	// Fly forward once offboard, then land after 20 s of flight.
 	s.Engine().Every(des.Seconds(0.1), "test/driver", func(e *des.Engine) {
 		switch {
-		case s.Now() > 40 && s.FCMode().String() == "offboard":
+		case s.Now() > 40 && s.FCMode() == actuation.ModeOffboard:
 			_ = s.Land()
-		case s.FCMode().String() == "offboard":
+		case s.FCMode() == actuation.ModeOffboard:
 			_ = s.IssueVelocity(geom.V3(3, 0, 0), 0)
 		}
 	})
 	s.Engine().Every(des.Seconds(0.1), "test/finish", func(e *des.Engine) {
-		if s.FCMode().String() == "landed" {
+		if s.FCMode() == actuation.ModeLanded {
 			s.CompleteMission(true, "")
 		}
 	})
@@ -94,10 +96,7 @@ func TestTakeoffFlyLandClosedLoop(t *testing.T) {
 	if rep.RotorEnergyKJ <= rep.ComputeEnergyKJ {
 		t.Error("rotor energy should dominate compute energy")
 	}
-	if s.CommandsIssued() == 0 {
-		t.Error("no commands issued")
-	}
-	if s.Battery().StateOfCharge() >= 1 {
+	if s.battery.StateOfCharge() >= 1 {
 		t.Error("battery did not discharge")
 	}
 }
@@ -211,6 +210,53 @@ func TestSensorTopicsPublish(t *testing.T) {
 	})
 }
 
+// TestIssueVelocityHoldsSinglePrecisionSetpoint pins the flight controller's
+// setpoint precision: a velocity command reaches the vehicle rounded to
+// float32, yaw rate included. The goldens depend on that rounding.
+func TestIssueVelocityHoldsSinglePrecisionSetpoint(t *testing.T) {
+	s := emptyWorldSim(t, DefaultConfig(19))
+	step := func() {
+		t.Helper()
+		if err := s.Engine().RunUntil(s.Engine().Now() + des.Seconds(PhysicsStepS)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Arm(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Takeoff(); err != nil {
+		t.Fatal(err)
+	}
+	for s.FCMode() != actuation.ModeOffboard {
+		if s.Now() > 60 {
+			t.Fatalf("takeoff incomplete at %v s", s.Now())
+		}
+		step()
+	}
+
+	vel, yawRate := geom.V3(0.1, -1.0/3, 2.7), 0.3
+	if err := s.IssueVelocity(vel, yawRate); err != nil {
+		t.Fatal(err)
+	}
+	step()
+
+	got := s.Vehicle().Command()
+	single := func(x float64) float64 { return float64(float32(x)) }
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"vx", got.Velocity.X, single(vel.X)},
+		{"vy", got.Velocity.Y, single(vel.Y)},
+		{"vz", got.Velocity.Z, single(vel.Z)},
+		{"yaw rate", got.YawRate, single(yawRate)},
+	} {
+		if math.Float64bits(c.got) != math.Float64bits(c.want) {
+			t.Errorf("%s = %v, want the float32-rounded %v", c.name, c.got, c.want)
+		}
+	}
+}
+
 func TestCollisionAbortsMission(t *testing.T) {
 	w := env.BoundedEmptyWorld(100, 40, 1)
 	// A wall directly in the flight path.
@@ -224,7 +270,7 @@ func TestCollisionAbortsMission(t *testing.T) {
 	_ = s.Arm()
 	_ = s.Takeoff()
 	s.Engine().Every(des.Seconds(0.1), "test/driver", func(*des.Engine) {
-		if s.FCMode().String() == "offboard" {
+		if s.FCMode() == actuation.ModeOffboard {
 			_ = s.IssueVelocity(geom.V3(5, 0, 0), 0)
 		}
 	})
@@ -235,8 +281,8 @@ func TestCollisionAbortsMission(t *testing.T) {
 	if rep.FailureReason != "collision" {
 		t.Errorf("failure reason = %q", rep.FailureReason)
 	}
-	if s.Collisions() == 0 {
-		t.Error("collision counter not incremented")
+	if rep.Counters["collisions"] != 1 {
+		t.Errorf("collisions = %v, want 1", rep.Counters["collisions"])
 	}
 }
 

@@ -3,6 +3,7 @@ package workloads
 import (
 	"time"
 
+	"mavbench/internal/actuation"
 	"mavbench/internal/compute"
 	"mavbench/internal/control"
 	"mavbench/internal/core"
@@ -119,7 +120,7 @@ func (AerialPhotography) Setup(s *sim.Simulator, p core.Params) error {
 			s.Recorder().Observe("framing_error_norm", (abs(errX)/centerU+abs(errY)/centerV)/2)
 
 			cmd := framing.Update(errX, errY, resRT.Box.Distance, 1/sim.RGBCameraRateHz, s.TrueState().Pose())
-			if s.FCMode().String() == "offboard" {
+			if s.FCMode() == actuation.ModeOffboard {
 				_ = s.IssueVelocity(cmd.Velocity, cmd.YawRate)
 			}
 		}
@@ -129,7 +130,7 @@ func (AerialPhotography) Setup(s *sim.Simulator, p core.Params) error {
 	// Mission supervisor: end the mission when the subject has been lost for
 	// too long (success if it was ever tracked) or when the battery runs out.
 	s.Engine().Every(des.Seconds(1), "photography/mission", func(*des.Engine) {
-		if s.MissionDone() || s.FCMode().String() != "offboard" {
+		if s.MissionDone() || s.FCMode() != actuation.ModeOffboard {
 			return
 		}
 		if everLocked && (s.Now()-lastSeen > lostTimeout || s.Now() > filmingDuration) {

@@ -3,6 +3,7 @@ package workloads
 import (
 	"time"
 
+	"mavbench/internal/actuation"
 	"mavbench/internal/compute"
 	"mavbench/internal/core"
 	"mavbench/internal/des"
@@ -196,7 +197,7 @@ func setupExploration(s *sim.Simulator, p core.Params, cfg explorationConfig) er
 	// Mission supervisor: check completion, trigger the next viewpoint when
 	// idle.
 	s.Engine().Every(des.Seconds(1), "mapping/mission", func(*des.Engine) {
-		if s.MissionDone() || s.FCMode().String() != "offboard" {
+		if s.MissionDone() || s.FCMode() != actuation.ModeOffboard {
 			return
 		}
 		known := nav.mapKnownFraction()

@@ -7,14 +7,15 @@
 // perception kernels (point-cloud generation, OctoMap, detection, tracking,
 // localization) whose compute cost is charged on the core-limited executor;
 // planning kernels produce smoothed trajectories; the control stage tracks
-// them and issues MAVLink velocity commands. The workloads register
-// themselves with package core; importing this package (even blank) makes
-// them available to core.Run.
+// them and issues velocity commands to the flight controller. The workloads
+// register themselves with package core; importing this package (even blank)
+// makes them available to core.Run.
 package workloads
 
 import (
 	"time"
 
+	"mavbench/internal/actuation"
 	"mavbench/internal/compute"
 	"mavbench/internal/control"
 	"mavbench/internal/core"
@@ -377,7 +378,7 @@ func startFlight(s *sim.Simulator, ready func()) error {
 		if s.MissionDone() {
 			return
 		}
-		if s.FCMode().String() == "offboard" {
+		if s.FCMode() == actuation.ModeOffboard {
 			ready()
 			return
 		}
@@ -395,7 +396,7 @@ func landAndFinish(s *sim.Simulator, success bool, reason string) {
 		if s.MissionDone() {
 			return
 		}
-		if s.FCMode().String() == "landed" {
+		if s.FCMode() == actuation.ModeLanded {
 			s.CompleteMission(success, reason)
 			return
 		}

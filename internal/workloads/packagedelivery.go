@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"mavbench/internal/actuation"
 	"mavbench/internal/core"
 	"mavbench/internal/des"
 	"mavbench/internal/env"
@@ -76,7 +77,7 @@ func (PackageDelivery) Setup(s *sim.Simulator, p core.Params) error {
 	// Mission supervisor at 1 Hz: drives the phase machine and re-issues
 	// plans if the navigator is idle (e.g. after a failed attempt).
 	s.Engine().Every(des.Seconds(1), "delivery/mission", func(*des.Engine) {
-		if s.MissionDone() || s.FCMode().String() != "offboard" {
+		if s.MissionDone() || s.FCMode() != actuation.ModeOffboard {
 			return
 		}
 		switch phase {
